@@ -327,7 +327,8 @@ def cmd_dbar(args):
     sol = solve_beltrami(model, p, args.R, tol=args.tol, rings=args.rings,
                          angular=args.angular)
     rep = Report("dbar", args.seed, digest(
-        f"{args.model}|{args.R}|{args.nu}|{args.alpha}|{args.tol}"))
+        f"{args.model}|{args.R}|{args.nu}|{args.alpha}|{args.tol}|"
+        f"{args.rings}|{args.angular}"))
     sec = rep.section("beltrami solve")
     sec.add("model", args.model)
     sec.add("R", args.R)

@@ -6,6 +6,8 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import __version__
+
 
 def fmt(value) -> str:
     """Deterministic value formatting for reports."""
@@ -34,7 +36,7 @@ class Report:
     tool: str
     seed: int
     input_digest: str
-    version: str = "0.1.0"
+    version: str = __version__
     sections: list = field(default_factory=list)
     hypothesis_notes: list = field(default_factory=list)
 

@@ -92,6 +92,19 @@ def test_dbar_zero_model(capsys, tmp_path):
     assert text.splitlines()[0].startswith("R ")
 
 
+def test_dbar_digest_covers_grid_size(capsys):
+    """Runs that differ only in --rings or --angular get different digests."""
+    base = ["dbar", "--nu", "0.0", "--R", "0.3", "--model", "const:0",
+            "--format", "kv"]
+    digests = set()
+    for rings, angular in (("4", "16"), ("3", "16"), ("4", "8")):
+        code, out = run(capsys, *base, "--rings", rings, "--angular", angular)
+        assert code == 0
+        digests.add(next(line for line in out.splitlines()
+                         if line.startswith("input_digest=")))
+    assert len(digests) == 3
+
+
 def test_metric_subcommand(capsys):
     code, out = run(capsys, "metric", "--delta", "1", "--dimD", "1",
                     "--potential", "1+|z|^2", "--xi", "1,0")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conedeform import dbar
 from conedeform.dbar import (DiskField, DiskGrid,
                              HolderParams, PerturbationModel,
                              PreconditionFailure, QuadratureDivergence,
@@ -37,6 +38,10 @@ def test_transform_of_zero():
     grid = _grid()
     z = DiskField.from_function(grid, lambda z: np.zeros_like(z))
     assert np.abs(modified_transform(z).values).max() == 0.0
+    vals, dv = transform_with_derivative(z)
+    assert np.abs(vals).max() == 0.0 and np.abs(dv).max() == 0.0
+    pts = np.array([0.3 + 0.1j, grid.bounds[2][0] + 0j, 1e-4j])
+    assert np.abs(transform_at(z, pts)).max() == 0.0
 
 
 def test_transform_of_taubar():
@@ -86,6 +91,97 @@ def test_derivative_of_transform():
     tv = transform_at(F, st).reshape(4, -1)
     dz_fd = 0.5 * ((tv[0] - tv[1]) / (2 * h) - 1j * (tv[2] - tv[3]) / (2 * h))
     assert np.abs(dz_fd - dv[:3].ravel()).max() < 1e-6
+
+
+def _reference_coefficients(grid, V, pts):
+    """Reference per-point transform: no grouping of equal radii, and every
+    own-ring sub-rule on all modes.  Returns coeff[p, n] with
+    Tf(pts[p]) = sum_n coeff[p, n] e^(i(n-1)phi)."""
+    plan = dbar._plan(grid)
+    G = dbar._modes(grid, V)
+    n = plan.n
+    absn = plan.absn
+    neg = n <= 0
+    pos = n >= 1
+    expo = np.where(pos, n - 1, 0)
+    J_in, J_out = dbar._ring_integrals(grid, plan, G)
+    rho = np.abs(pts)
+    coeff = np.zeros((len(pts), grid.angular), dtype=complex)
+    for k in range(grid.nrings):
+        lo, hi = grid.bounds[k]
+        inside = rho >= hi
+        outside = rho <= lo
+        own = ~(inside | outside)
+        if inside.any():
+            fold = (hi / rho[inside, None]) ** absn[None, :] / rho[inside, None]
+            coeff[inside, :] += 2.0 * fold * neg[None, :] * J_in[k, None, :]
+        if outside.any():
+            fold = (rho[outside, None] / lo) ** expo[None, :]
+            coeff[outside, :] -= 2.0 * fold * pos[None, :] * J_out[k, None, :]
+        if own.any():
+            idx = np.where(own)[0]
+            rt = rho[idx]
+            x, w = plan.sub_x, plan.sub_w
+            r1 = lo + (rt[:, None] - lo) * (x + 1) / 2
+            w1 = (rt[:, None] - lo) * w / 2
+            r2 = rt[:, None] + (hi - rt[:, None]) * (x + 1) / 2
+            w2 = (hi - rt[:, None]) * w / 2
+            E1 = dbar._bary_interp(grid.radii[k], plan.bary[k], r1)
+            E2 = dbar._bary_interp(grid.radii[k], plan.bary[k], r2)
+            gs1 = np.einsum("psi,im->psm", E1, G[k])
+            gs2 = np.einsum("psi,im->psm", E2, G[k])
+            fold1 = (w1 * r1)[..., None] * \
+                (r1[..., None] / rt[:, None, None]) ** absn
+            pin = np.einsum("psm,psm->pm", gs1, fold1 * neg) / rt[:, None]
+            fold2 = w2[..., None] * (rt[:, None, None] / r2[..., None]) ** expo
+            pout = np.einsum("psm,psm->pm", gs2, fold2 * pos)
+            coeff[idx, :] += 2.0 * pin - 2.0 * pout
+    return coeff
+
+
+def _reference(grid, V, pts):
+    """(Tf, d/dzeta Tf - e^(-2i phi) f, Tf(0)) from the reference."""
+    pts = np.asarray(pts, dtype=complex).ravel()
+    n = dbar._plan(grid).n
+    coeff = _reference_coefficients(grid, V, pts)
+    phase = np.exp(1j * np.outer(np.angle(pts), n - 1))
+    vals = np.einsum("pm,pm->p", coeff, phase)
+    dvals = np.einsum("pm,pm->p", coeff * (n - 1) / np.abs(pts)[:, None],
+                      phase) / pts * np.abs(pts)
+    _, J_out = dbar._ring_integrals(grid, dbar._plan(grid), dbar._modes(grid, V))
+    return vals, dvals, -2.0 * J_out[:, n == 1].sum()
+
+
+def _close(got, want, rel=1e-13):
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("puncture", [True, False])
+def test_kernel_matches_per_point_reference(puncture):
+    """The radius-grouped kernel reproduces the per-point path at the grid
+    nodes (values and d/dzeta), random points, ring bounds and points in
+    the truncation hole."""
+    grid = _grid(rings=6, angular=32, radial=8, puncture=puncture)
+    fn = lambda z: np.conj(z) * np.exp(0.5 * z.real) + 0.3j * z ** 3
+    F = DiskField.from_function(grid, fn)
+    nodes = grid.nodes()
+    ref, dref, t0 = _reference(grid, F.values, nodes)
+    assert _close(cauchy_transform(F).values.ravel(), ref)
+    vals, dv = transform_with_derivative(F)
+    assert _close(vals.ravel(), ref - t0)
+    assert _close(dv.ravel(), dref + np.exp(-2j * np.angle(nodes.ravel()))
+                  * F.values.ravel())
+    rng = np.random.default_rng(7)
+    phis = rng.uniform(0, 2 * np.pi, 600)
+    radii = np.concatenate([
+        grid.R * np.sqrt(rng.uniform(0, 1.2, 400)),            # interior
+        [b for lo_hi in grid.bounds for b in lo_hi if b > 0],  # lo and hi
+        grid.inner_radius * rng.uniform(0.01, 1, 20)])         # the hole
+    pts = radii * np.exp(1j * phis[:len(radii)])
+    pts = np.concatenate([pts, -pts])       # shared radii, other phases
+    ref, _, t0 = _reference(grid, F.values, pts)
+    assert _close(transform_at(F, pts, modified=False), ref)
+    assert _close(transform_at(F, pts), ref - t0)
 
 
 def test_quadrature_divergence_flag():
@@ -147,6 +243,34 @@ def test_weighted_norm_power_sup_window():
     assert 1.0 <= rep.sup_part <= 2 ** nu + 1e-9
 
 
+def test_holder_sup_is_exact_on_large_annulus():
+    """More nodes than the former 4096-node subsample: a spike on a node
+    the subsample skipped must set the Hoelder sup, which equals the
+    brute-force max over all pairs."""
+    grid = DiskGrid(0.5, 1, 520, 8)
+    pts = grid.nodes()[0].ravel()
+    N = len(pts)
+    skipped = np.setdiff1d(np.arange(N),
+                           np.linspace(0, N - 1, 4096).astype(int))
+    spike = skipped[len(skipped) // 2]
+    vals = pts ** 2
+    vals[spike] += 0.2
+    alpha = 0.5
+    brute = 0.0
+    for i in range(N):
+        dp = np.abs(pts[i] - pts)
+        dv = np.abs(vals[i] - vals)
+        live = dp > 0
+        brute = max(brute, float((dv[live] / dp[live] ** alpha).max()))
+    F = DiskField(grid, vals.reshape(grid.shape()))
+    rep = weighted_norms(F, HolderParams(alpha, 0.0))
+    assert rep.per_ring[0]["holder"] == brute
+    # the spike is what sets it: without it the sup is far smaller
+    F0 = DiskField(grid, (pts ** 2).reshape(grid.shape()))
+    smooth = weighted_norms(F0, HolderParams(alpha, 0.0)).per_ring[0]["holder"]
+    assert brute > 2 * smooth
+
+
 def test_weighted_bound_stability():
     """The measured constant in the weighted sup bound is stable across a
     grid refinement (within 15 percent) for each weight."""
@@ -206,6 +330,24 @@ def test_beltrami_power_model():
     assert sol.residual < 1e-6
     slope = sol.z_field.measured_decay()
     assert slope >= 1 + 0.6 - 0.05
+
+
+def test_beltrami_builds_three_grids(monkeypatch):
+    """The source grid, the declared-rings grid (shared by J[0], every
+    increment and the final norm) and the verification grid."""
+    built = []
+    init = DiskGrid.__init__
+
+    def counting(self, *args, **kw):
+        built.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(DiskGrid, "__init__", counting)
+    model = PerturbationModel.power(0.05, 0.8)
+    sol = solve_beltrami(model, HolderParams(0.5, 0.6), R=0.2, tol=1e-9,
+                         rings=4, angular=16, radial=6, extra_rings=4)
+    assert sol.iterations > 1
+    assert len(built) == 3
 
 
 def test_beltrami_precondition_refusal():
