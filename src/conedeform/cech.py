@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .laurent import LaurentPoly, YSeries, invert_chart_map
+from .laurent import LaurentPoly, YSeries, _inv_coeff, invert_chart_map
 from .poly import Polynomial
 from .rational import GaussianRational, gaussian_sqrt
 
@@ -38,6 +38,10 @@ class NotNormalizedError(RuntimeError):
 
 class TruncationExhaustedError(RuntimeError):
     pass
+
+
+class ParameterBudgetExhaustedError(RuntimeError):
+    """The lifting families need more than PARAM_BUDGET parameters."""
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +222,10 @@ def splitting_obstruction(t: TruncatedTransition, k: int) -> ObstructionClass:
         if not t.phi(a).is_zero():
             raise NotNormalizedError(
                 f"base series has a nonzero order-{a} term below {k}")
-    d = t.normal_degree
-    phi_k = t.phi(k)
-    inv_g0 = GaussianRational(1) / t.gamma0
-    f = -(phi_k.shift(2) * _embed_scalar(inv_g0, phi_k))
-    window = CoboundaryWindow(2 - k * d)
-    cocycle = f"({phi_k.to_string(coeff_str=_poly_str)})*[y^{k}] d/dz2"
-    return ObstructionClass("splitting", k, window, h1_class(f, window), cocycle)
+    window = CoboundaryWindow(2 - k * t.normal_degree)
+    cocycle = f"({t.phi(k).to_string(coeff_str=_poly_str)})*[y^{k}] d/dz2"
+    return ObstructionClass("splitting", k, window,
+                            h1_class(_base_cochain(t, k), window), cocycle)
 
 
 def comfortable_obstruction(t: TruncatedTransition, k: int) -> ObstructionClass:
@@ -239,77 +240,72 @@ def comfortable_obstruction(t: TruncatedTransition, k: int) -> ObstructionClass:
         raise TruncationExhaustedError(
             f"series truncated at order {t.order}, cannot see order {k + 1}")
     _check_normalized(t, k + 1, k - 1)
-    d = t.normal_degree
-    g = t.c(k + 1).shift(d) * _embed_scalar(GaussianRational(1) / t.gamma, t.c(k + 1))
-    f = -g
-    window = CoboundaryWindow(-k * d)
+    window = CoboundaryWindow(-k * t.normal_degree)
     cocycle = f"({t.c(k + 1).to_string(coeff_str=_poly_str)})*[y^{k + 1}] d/dy2"
-    return ObstructionClass("comfortable", k, window, h1_class(f, window), cocycle)
+    return ObstructionClass("comfortable", k, window,
+                            h1_class(-_normal_cochain(t, k), window), cocycle)
 
 
-def _embed_scalar(s: GaussianRational, like: LaurentPoly):
-    """Scalar as a degree-0 Laurent factor matching the coefficient type."""
-    sample = next(iter(like.coeffs.values()), None)
-    if sample is not None and _is_param_poly(sample):
-        return LaurentPoly.monomial(0, Polynomial.constant(PARAM_BUDGET, s))
-    return LaurentPoly.monomial(0, s)
+def _coeff_like(s: GaussianRational, like):
+    """Scalar s as a coefficient of the same type as `like`."""
+    if _is_param_poly(like):
+        return Polynomial.constant(PARAM_BUDGET, s)
+    return s
+
+
+def _scaled(f: LaurentPoly, s: GaussianRational) -> LaurentPoly:
+    return f.map_coeffs(lambda c: c * _coeff_like(s, c))
+
+
+def _base_cochain(t, k):
+    """-(z^2/gamma0) phi_k: the order-k base term in the chart-1 frame."""
+    return -_scaled(t.phi(k).shift(2), GaussianRational(1) / t.gamma0)
+
+
+def _normal_cochain(t, k):
+    """c_(k+1)/c_1: the order-(k+1) normal term relative to the linear one."""
+    return _scaled(t.c(k + 1).shift(t.normal_degree),
+                   GaussianRational(1) / t.gamma)
 
 
 # ---------------------------------------------------------------------------
 # coordinate-change solves
 
 
-def _gamma_pow(t, k):
-    return t.gamma ** k
+def _split_coboundary(f: LaurentPoly, m, scale):
+    """Split f = a(z) + z^m b(gamma0/z) into chart polynomials (a, b).
+
+    The coefficient of z^(m-j) in f gives b_j after multiplication by
+    scale(j); the forbidden window (m, 0) of f must already vanish."""
+    a = {}
+    b = {}
+    for e, c in f.coeffs.items():
+        if e >= 0:
+            a[e] = c
+        elif e <= m:
+            b[m - e] = c * _coeff_like(scale(m - e), c)
+        else:
+            raise ValueError("forbidden window not cleared before solving")
+    return LaurentPoly(a), LaurentPoly(b)
 
 
 def _solve_z_step(t, k, f: LaurentPoly):
     """Chart polynomials (p, u) with phi_k killed; f = -(z^2/gamma0) phi_k.
 
     The coboundary equation is p(z) + (gamma^k/gamma0) z^m u(gamma0/z) = f
-    with m = 2 - k*d; the forbidden window of f must already vanish."""
-    d = t.normal_degree
-    m = 2 - k * d
-    g0, gk = t.gamma0, _gamma_pow(t, k)
-    p = {}
-    u = {}
-    for e, c in f.coeffs.items():
-        if e >= 0:
-            p[e] = c
-        elif e <= m:
-            j = m - e
-            scale = g0 ** (1 - j) / gk
-            u[j] = c * _as_same_type(scale, c)
-        else:
-            raise ValueError("forbidden window not cleared before solving")
-    return LaurentPoly(p), LaurentPoly(u)
+    with m = 2 - k*d."""
+    g0, gk = t.gamma0, t.gamma ** k
+    return _split_coboundary(f, 2 - k * t.normal_degree,
+                             lambda j: g0 ** (1 - j) / gk)
 
 
 def _solve_y_step(t, k, g: LaurentPoly):
     """Chart polynomials (q, v) with c_{k+1} killed; g = c_{k+1}/c1.
 
     The equation is q(z) - gamma^k z^m v(gamma0/z) = g with m = -k*d."""
-    d = t.normal_degree
-    m = -k * d
-    g0, gk = t.gamma0, _gamma_pow(t, k)
-    q = {}
-    v = {}
-    for e, c in g.coeffs.items():
-        if e >= 0:
-            q[e] = c
-        elif e <= m:
-            j = m - e
-            scale = GaussianRational(-1) / (gk * g0 ** j)
-            v[j] = c * _as_same_type(scale, c)
-        else:
-            raise ValueError("forbidden window not cleared before solving")
-    return LaurentPoly(q), LaurentPoly(v)
-
-
-def _as_same_type(s: GaussianRational, like):
-    if _is_param_poly(like):
-        return Polynomial.constant(PARAM_BUDGET, s)
-    return s
+    g0, gk = t.gamma0, t.gamma ** k
+    return _split_coboundary(g, -k * t.normal_degree,
+                             lambda j: GaussianRational(-1) / (gk * g0 ** j))
 
 
 def _kernel_basis_z(t, k):
@@ -321,7 +317,7 @@ def _kernel_basis_z(t, k):
     m = 2 - k * d
     if m < 0:
         return []
-    g0, gk = t.gamma0, _gamma_pow(t, k)
+    g0, gk = t.gamma0, t.gamma ** k
     out = []
     for e in range(m + 1):
         coeff = -(g0 ** (1 - m + e)) / gk
@@ -364,11 +360,11 @@ def invert_transition(t: TruncatedTransition) -> TruncatedTransition:
     K = t.order
     g0 = t.gamma0
     # leading inverses
-    Z = YSeries(K, [LaurentPoly.monomial(-1, _as_same_type(
+    Z = YSeries(K, [LaurentPoly.monomial(-1, _coeff_like(
         g0, t.phi(0).monomial_data()[1]))])
     e1, c1coef = t.c(1).monomial_data()
     Y = YSeries(K, [LaurentPoly.zero(),
-                    LaurentPoly.monomial(-e1, _inv_like(c1coef))])
+                    LaurentPoly.monomial(-e1, _inv_coeff(c1coef))])
     for _ in range(K + 1):
         # y1 = (y2 - sum_{a>=2} c_a(z1) y1^a) / c1(z1)
         tail = YSeries.zero(K)
@@ -392,17 +388,12 @@ def invert_transition(t: TruncatedTransition) -> TruncatedTransition:
                 ypow = ypow * Yn
         base = YSeries.identity_z(K) - ztail
         Zn = base.inverse() * LaurentPoly.monomial(
-            0, _as_same_type(g0, t.phi(0).monomial_data()[1]))
+            0, _coeff_like(g0, t.phi(0).monomial_data()[1]))
         if Zn == Z and Yn == Y:
             Z, Y = Zn, Yn
             break
         Z, Y = Zn, Yn
     return TruncatedTransition(Y, Z)
-
-
-def _inv_like(c):
-    from .laurent import _inv_coeff
-    return _inv_coeff(c)
 
 
 def roundtrip_defect(t: TruncatedTransition):
@@ -416,28 +407,37 @@ def roundtrip_defect(t: TruncatedTransition):
     return (Z1 - YSeries.identity_z(K), Y1 - YSeries.identity_y(K))
 
 
+def _base_step(t: TruncatedTransition, k: int, next_param: int):
+    """Kill phi_k, whose class must vanish, and adjoin the order-k lifting
+    family as parameters next_param, next_param + 1, ...
+
+    Returns (new transition, parameter indices used)."""
+    p, u = _solve_z_step(t, k, _base_cochain(t, k))
+    params = []
+    for i, (pk, uk) in enumerate(_kernel_basis_z(t, k)):
+        idx = next_param + i
+        if idx >= PARAM_BUDGET:
+            raise ParameterBudgetExhaustedError(
+                f"lifting-parameter budget exhausted: the order-{k} family "
+                f"needs parameter {idx + 1} of {PARAM_BUDGET}")
+        a = Polynomial.variable(PARAM_BUDGET, idx)
+        p = p + pk.map_coeffs(lambda c: a * _lift_coeff(c))
+        u = u + uk.map_coeffs(lambda c: a * _lift_coeff(c))
+        params.append(idx)
+    t = apply_z_step(t, p, u, k)
+    assert t.phi(k).is_zero(), "base step failed to normalize"
+    return t, params
+
+
 def with_lifting_family(t: TruncatedTransition, k: int, first_param: int = 0):
     """Adjoin the symbolic order-k lifting family to a transition whose
     order-k splitting obstruction vanishes identically.
 
     Returns (family transition, parameter indices used)."""
     lifted = lift_params(t)
-    obs = splitting_obstruction(lifted, k)
-    if not obs.vanishes():
+    if not splitting_obstruction(lifted, k).vanishes():
         raise NotNormalizedError("order-k splitting obstruction is nonzero")
-    f = -(lifted.phi(k).shift(2) * _embed_scalar(
-        GaussianRational(1) / lifted.gamma0, lifted.phi(k)))
-    p, u = _solve_z_step(lifted, k, f)
-    params = []
-    for i, (pk, uk) in enumerate(_kernel_basis_z(lifted, k)):
-        idx = first_param + i
-        if idx >= PARAM_BUDGET:
-            raise RuntimeError("lifting-parameter budget exhausted")
-        a = Polynomial.variable(PARAM_BUDGET, idx)
-        p = p + pk.map_coeffs(lambda c: a * _lift_coeff(c))
-        u = u + uk.map_coeffs(lambda c: a * _lift_coeff(c))
-        params.append(idx)
-    return apply_z_step(lifted, p, u, k), params
+    return _base_step(lifted, k, first_param)
 
 
 # ---------------------------------------------------------------------------
@@ -492,37 +492,27 @@ def vanishing_locus(vector, active) -> Locus:
     Handles: identically zero, affine systems (exactly), and univariate
     systems of degree <= 2 (exact Q(i) roots).  Anything else is reported
     as 'unknown' and treated as nonvanishing by the caller."""
-    polys = [c if _is_param_poly(c)
-             else Polynomial.constant(PARAM_BUDGET, GaussianRational.coerce(c))
-             for c in vector]
-    polys = [p for p in polys if not p.is_zero()]
+    polys = [p for p in map(_lift_coeff, vector) if not p.is_zero()]
     if not polys:
         return Locus("all", description="identically zero")
     used = sorted(active)
     if all(p.degree() <= 1 for p in polys):
-        rows = []
-        rhs = []
+        # one elimination of the augmented system [coefficients | -constant]
+        aug = []
         for p in polys:
             const, coeffs = _linear_data(p, used)
-            rows.append(coeffs)
-            rhs.append(-const)
-        cols = [[rows[r][j] for r in range(len(rows))] for j in range(len(used))]
-        part = linalg.solve(cols, rhs)
-        if part is None:
+            aug.append(coeffs + [-const])
+        ech, pivots = linalg.row_echelon(aug)
+        if len(used) in pivots:
             return Locus("empty", description="no common zero")
-        null = linalg.nullspace(cols) if used else []
-        if not used or not any(any(x != 0 for x in b) for b in null):
+        if len(pivots) == len(used):
             # isolated point
-            point = {used[j]: part[j] for j in range(len(used))}
+            point = {used[pv]: row[len(used)] for row, pv in zip(ech, pivots)}
             return Locus("points", points=[point],
                          description=_point_str(point))
         # affine subspace: express pivot params through the free ones
-        aug = [row + [r] for row, r in zip(rows, rhs)]
-        ech, pivots = linalg.row_echelon(aug)
         sub = {}
         for row, pv in zip(ech, pivots):
-            if pv == len(used):
-                return Locus("empty", description="no common zero")
             expr = Polynomial.constant(PARAM_BUDGET, row[len(used)])
             for j in range(len(used)):
                 if j != pv and row[j] != 0:
@@ -576,8 +566,7 @@ def _point_str(point: dict) -> str:
 def _substitute_state(t: TruncatedTransition, sub: dict) -> TruncatedTransition:
     full = [Polynomial.variable(PARAM_BUDGET, i) for i in range(PARAM_BUDGET)]
     for i, val in sub.items():
-        full[i] = val if _is_param_poly(val) else Polynomial.constant(
-            PARAM_BUDGET, GaussianRational.coerce(val))
+        full[i] = _lift_coeff(val)
     return t.map_coeffs(lambda c: c.substitute(full))
 
 
@@ -597,8 +586,7 @@ class LedgerEntry:
 
     def nonzero_at_base(self):
         for c in self.class_vector:
-            p = c if _is_param_poly(c) else Polynomial.constant(
-                PARAM_BUDGET, GaussianRational.coerce(c))
+            p = _lift_coeff(c)
             base = p.constant_term() if not p.is_zero() else 0
             if base != 0:
                 return True
@@ -636,24 +624,38 @@ class NormalizeResult:
         return self.m_comfortable
 
 
-class _Explorer:
-    def __init__(self, target_order, ledger):
+def _branches(locus):
+    """(substitution, description) per branch of a vanishing locus; none
+    for an empty or unknown locus."""
+    if locus.kind == "all":
+        return [({}, "")]
+    if locus.kind == "affine":
+        return [(locus.substitution, locus.description)]
+    if locus.kind == "points":
+        return [(pt, _point_str(pt)) for pt in locus.points]
+    return []
+
+
+class _Walker:
+    """Depth-first walk of the obstruction tree.
+
+    At each order k the vanishing locus of the base class g_k is solved
+    over the active lifting parameters; every branch of it takes the base
+    step and opens the order-k lifting family.  With comfortable=True the
+    normal class h_k follows on each branch, its branches take the normal
+    step and the walk goes on to order k + 1; the deepest chain gives
+    m(X, D) and notes flag loci that cannot be solved exactly.  With
+    comfortable=False the walk is the splitting-only tower: entries of kind
+    "splitting-tower", no record and no notes."""
+
+    def __init__(self, target_order, ledger, comfortable):
         self.target = target_order
         self.ledger = ledger
+        self.comfortable = comfortable
         self.best_m = 1
         self.best_lin = 0
         self.best_state = None
         self.best_chain = ""
-        self.hit_truncation = False
-
-    def _branches(self, locus):
-        if locus.kind == "all":
-            return [({}, "")]
-        if locus.kind == "affine":
-            return [(locus.substitution, locus.description)]
-        if locus.kind == "points":
-            return [(pt, _point_str(pt)) for pt in locus.points]
-        return []
 
     def record(self, m, lin, state, chain):
         if m > self.best_m or (m == self.best_m and self.best_state is None):
@@ -662,122 +664,61 @@ class _Explorer:
             self.best_chain = chain
         self.best_lin = max(self.best_lin, lin)
 
-    def explore(self, state, active, next_param, k, chain):
-        if k > self.target:
-            self.record(self.target + 1, self.target, state, chain)
-            self.hit_truncation = True
-            return
-        # ---- base (splitting) step -------------------------------------
-        obs = splitting_obstruction(state, k)
+    def _enter(self, obs, state, active, chain, lin):
+        """Ledger entry of one class; its branches as (state, active, chain).
+
+        A comfortable walk records (order, lin) where no branch goes on."""
         locus = vanishing_locus(obs.vector, active)
-        self.ledger.add(LedgerEntry(k, "splitting", chain, obs.window.twist,
+        kind = obs.kind if self.comfortable else "splitting-tower"
+        self.ledger.add(LedgerEntry(obs.order, kind, chain, obs.window.twist,
                                     obs.vector, locus, obs.cocycle))
-        if locus.kind == "unknown":
-            self.ledger.notes.append(
-                f"order {k}: splitting locus not solvable exactly; "
-                "treating as nonvanishing")
-        branches = self._branches(locus)
-        if not branches:
-            self.record(k, k - 1, state, chain)
+        branches = _branches(locus)
+        if self.comfortable:
+            if locus.kind == "unknown":
+                self.ledger.notes.append(
+                    f"order {obs.order}: {obs.kind} locus not solvable "
+                    "exactly; treating as nonvanishing")
+            if not branches:
+                self.record(obs.order, lin, state, chain)
+        return [(_substitute_state(state, sub) if sub else state,
+                 [i for i in active if i not in sub],
+                 chain + (f" [{desc}]" if desc else ""))
+                for sub, desc in branches]
+
+    def walk(self, state, active, next_param, k, chain):
+        if k > self.target:
+            if self.comfortable:
+                self.record(self.target + 1, self.target, state, chain)
             return
-        for sub, desc in branches:
-            st = _substitute_state(state, sub) if sub else state
-            act = [i for i in active if i not in sub]
-            f = -(st.phi(k).shift(2) * _embed_scalar(
-                GaussianRational(1) / st.gamma0, st.phi(k)))
-            p, u = _solve_z_step(st, k, f)
-            kernel = _kernel_basis_z(st, k)
-            params = []
-            np_ = next_param
-            for pk, uk in kernel:
-                if np_ >= PARAM_BUDGET:
-                    raise RuntimeError("lifting-parameter budget exhausted")
-                a = Polynomial.variable(PARAM_BUDGET, np_)
-                p = p + pk.map_coeffs(lambda c, a=a: a * _lift_coeff(c))
-                u = u + uk.map_coeffs(lambda c, a=a: a * _lift_coeff(c))
-                params.append(np_)
-                np_ += 1
+        obs = splitting_obstruction(state, k)
+        for st, act, ch in self._enter(obs, state, active, chain, k - 1):
+            st, params = _base_step(st, k, next_param)
             if params:
                 self.ledger.families.setdefault(k, len(params))
-            st = apply_z_step(st, p, u, k)
-            assert st.phi(k).is_zero(), "base step failed to normalize"
-            chain2 = chain + (f" [{desc}]" if desc else "")
-            act2 = act + params
-            # ---- normal (comfortable) step ------------------------------
-            self._comfortable_step(st, act2, np_, k, chain2)
-
-    def _comfortable_step(self, state, active, next_param, k, chain):
-        lin_here = k
-        obs = comfortable_obstruction(state, k)
-        locus = vanishing_locus(obs.vector, active)
-        self.ledger.add(LedgerEntry(k, "comfortable", chain, obs.window.twist,
-                                    obs.vector, locus, obs.cocycle))
-        if locus.kind == "unknown":
-            self.ledger.notes.append(
-                f"order {k}: comfortable locus not solvable exactly; "
-                "treating as nonvanishing")
-        branches = self._branches(locus)
-        if not branches:
-            self.record(k, lin_here, state, chain)
-            return
-        for sub, desc in branches:
-            st = _substitute_state(state, sub) if sub else state
-            act = [i for i in active if i not in sub]
-            g = st.c(k + 1).shift(st.normal_degree) * _embed_scalar(
-                GaussianRational(1) / st.gamma, st.c(k + 1))
-            q, v = _solve_y_step(st, k, g)
-            st = apply_y_step(st, q, v, k)
-            assert st.c(k + 1).is_zero(), "normal step failed to normalize"
-            chain2 = chain + (f" [{desc}]" if desc else "")
-            self.record(k + 1, lin_here, st, chain2)
-            self.explore(st, act, next_param, k + 1, chain2)
+            act = act + params
+            np_ = next_param + len(params)
+            if not self.comfortable:
+                self.walk(st, act, np_, k + 1, ch)
+                continue
+            h = comfortable_obstruction(st, k)
+            for st2, act2, ch2 in self._enter(h, st, act, ch, k):
+                q, v = _solve_y_step(st2, k, _normal_cochain(st2, k))
+                st2 = apply_y_step(st2, q, v, k)
+                assert st2.c(k + 1).is_zero(), "normal step failed to normalize"
+                self.record(k + 1, k, st2, ch2)
+                self.walk(st2, act2, np_, k + 1, ch2)
 
 
 def splitting_tower(t: TruncatedTransition, target_order: int,
                     ledger: ObstructionLedger | None = None):
-    """Base-series-only normalization: records the relative splitting
-    obstructions g_k and their vanishing loci over the lifting families,
-    without requiring comfortable structure.  Returns the ledger."""
+    """Base-series-only normalization: the obstruction-tree walk without
+    the normal steps.  Records the relative splitting obstructions g_k and
+    their vanishing loci over the lifting families as "splitting-tower"
+    entries, without requiring comfortable structure.  Returns the ledger."""
     if ledger is None:
         ledger = ObstructionLedger()
-    state = lift_params(t)
-
-    def go(state, active, next_param, k, chain):
-        if k > target_order:
-            return
-        obs = splitting_obstruction(state, k)
-        locus = vanishing_locus(obs.vector, active)
-        ledger.add(LedgerEntry(k, "splitting-tower", chain, obs.window.twist,
-                               obs.vector, locus, obs.cocycle))
-        branches = []
-        if locus.kind == "all":
-            branches = [({}, "")]
-        elif locus.kind == "affine":
-            branches = [(locus.substitution, locus.description)]
-        elif locus.kind == "points":
-            branches = [(pt, _point_str(pt)) for pt in locus.points]
-        for sub, desc in branches:
-            st = _substitute_state(state, sub) if sub else state
-            act = [i for i in active if i not in sub]
-            f = -(st.phi(k).shift(2) * _embed_scalar(
-                GaussianRational(1) / st.gamma0, st.phi(k)))
-            p, u = _solve_z_step(st, k, f)
-            np_ = next_param
-            params = []
-            for pk, uk in _kernel_basis_z(st, k):
-                if np_ >= PARAM_BUDGET:
-                    raise RuntimeError("lifting-parameter budget exhausted")
-                a = Polynomial.variable(PARAM_BUDGET, np_)
-                p = p + pk.map_coeffs(lambda c, a=a: a * _lift_coeff(c))
-                u = u + uk.map_coeffs(lambda c, a=a: a * _lift_coeff(c))
-                params.append(np_)
-                np_ += 1
-            if params:
-                ledger.families.setdefault(k, len(params))
-            st = apply_z_step(st, p, u, k)
-            go(st, act + params, np_, k + 1, chain + (f" [{desc}]" if desc else ""))
-
-    go(state, [], 0, 1, "tower")
+    _Walker(target_order, ledger, comfortable=False).walk(
+        lift_params(t), [], 0, 1, "tower")
     return ledger
 
 
@@ -786,9 +727,10 @@ def normalize(t: TruncatedTransition, target_order: int) -> NormalizeResult:
 
     Produces the maximal comfortable-embedding order m(X, D) reachable
     within the truncation, the maximal linearizable order, the per-order
-    obstruction ledger (both for the interleaved comfortable chains and
-    for the splitting-only tower), and the transition written in the best
-    chain's coordinates (free lifting parameters pinned to 0).
+    obstruction ledger and the transition written in the best chain's
+    coordinates (free lifting parameters pinned to 0).  One walker builds
+    both kinds of ledger entries: the interleaved "splitting" and
+    "comfortable" chains, then the "splitting-tower" (splitting_tower).
     """
     if target_order < 1:
         raise ValueError("target order must be >= 1")
@@ -797,12 +739,12 @@ def normalize(t: TruncatedTransition, target_order: int) -> NormalizeResult:
             f"target order {target_order} needs series data beyond the "
             f"truncation order {t.order}")
     ledger = ObstructionLedger()
-    explorer = _Explorer(target_order, ledger)
-    explorer.explore(lift_params(t), [], 0, 1, "chain")
+    walker = _Walker(target_order, ledger, comfortable=True)
+    walker.walk(lift_params(t), [], 0, 1, "chain")
     splitting_tower(t, target_order, ledger)
 
-    m = explorer.best_m
-    lin = explorer.best_lin
+    m = walker.best_m
+    lin = walker.best_lin
     truncated = False
     if m > target_order:
         m = target_order
@@ -810,7 +752,7 @@ def normalize(t: TruncatedTransition, target_order: int) -> NormalizeResult:
         ledger.notes.append(
             f"no obstruction found through order {target_order}; "
             "m(X,D) is truncation-limited")
-    best = explorer.best_state if explorer.best_state is not None else lift_params(t)
+    best = walker.best_state if walker.best_state is not None else lift_params(t)
     best = _substitute_state(best, {i: GaussianRational(0)
                                     for i in range(PARAM_BUDGET)})
     normalized = unlift_params(best)
@@ -820,7 +762,7 @@ def normalize(t: TruncatedTransition, target_order: int) -> NormalizeResult:
     else:
         verdict = f"{lin}-linearizable but not {lin + 1}-linearizable"
     return NormalizeResult(normalized, ledger, m, lin, truncated, verdict,
-                           explorer.best_chain)
+                           walker.best_chain)
 
 
 def weight_from_order(m_XD: int, dim_D: int | None = None):

@@ -8,8 +8,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .cech import (NotNormalizedError, TruncationExhaustedError,
-                   normalize, weight_from_order)
+from .cech import (NotNormalizedError, ParameterBudgetExhaustedError,
+                   TruncationExhaustedError, normalize, weight_from_order)
 from .cone_metric import (ConeChart, NotNormalizedChart, TENSOR_TYPES,
                           christoffels_fd, empirical_scaling_slope, metric_at,
                           scaling_exponent)
@@ -470,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 REFUSAL_ERRORS = (PreconditionFailure, ContractionFailure,
                   NotNormalizedError, NotNormalizedChart,
-                  TruncationExhaustedError, QuadratureDivergence)
+                  TruncationExhaustedError, ParameterBudgetExhaustedError,
+                  QuadratureDivergence)
 
 
 def main(argv=None) -> int:

@@ -557,15 +557,20 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
     gives ~5e-7.  richardson=True extrapolates every difference from
     steps h and h/2 (truncation order p = 4 instead of 2).
 
-    diagnose_convergence=True evaluates the FD Ricci form a second time at
-    step 4h at each non-degenerate grid point.  The truncation error at h
-    is estimated as max |Ric(h) - Ric(4h)| / (4^p - 1) and compared with
-    max(1e-9, ROUNDOFF_C * eps * max(1, |log det g|) / h^2), the roundoff
-    floor of the stencil.  converged=False, with a "convergence not
-    reached" note, means the estimate exceeds that floor: the step is too
-    coarse for the FD estimate to have settled.  converged=True means it
-    has settled to within its truncation and roundoff error; it says
-    nothing about the identity itself.  A step-independent Ricci defect,
+    At a grid point where the base metric is degenerate, the checked field
+    is the mixed-derivative matrix M of log g_00 (pluriharmonicity, target
+    0) instead of the Ricci form Ric of log det g.
+
+    diagnose_convergence=True evaluates the checked field a second time at
+    step 4h at every grid point, degenerate or not.  The truncation error
+    at h is estimated as max |M(h) - M(4h)| / (4^p - 1), M the Ricci form
+    or the log g_00 matrix, and compared with
+    max(1e-9, ROUNDOFF_C * eps * max(1, |log f|) / h^2), the roundoff
+    floor of the stencil (f = det g, or g_00).  converged=False, with a
+    "convergence not reached" note, means the estimate exceeds that floor:
+    the step is too coarse for the FD estimate to have settled.
+    converged=True means it has settled to within its truncation and
+    roundoff error; it says nothing about the identity itself.  A step-independent Ricci defect,
     such as one from a wrong mu, shows in ricci_defect only."""
     n = potential.dimD
     d = float(Fraction(delta))
@@ -610,73 +615,75 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
         def slot(K):
             return n if K == 0 else K - 1
 
+        def shifted(f, *slots):
+            # f with the coordinates of the given slots moved by its args
+            def fs(*steps):
+                ws = list(coords)
+                for K, w in zip(slots, steps):
+                    ws[slot(K)] = ws[slot(K)] + w
+                return f(ws)
+            return fs
+
+        target = np.zeros((n + 1, n + 1), dtype=complex)
         if degenerate_base:
             # only the fiber block is nondegenerate; log g_00 must be
             # pluriharmonic in every direction
-            def logg00(ws):
+            def logf(ws):
                 return cmath.log(g_of(ws)[0, 0])
-            for K in range(n + 1):
-                for L in range(n + 1):
-                    def f2(w, v, K=K, L=L):
-                        ws = list(coords)
-                        ws[slot(K)] = ws[slot(K)] + w
-                        ws[slot(L)] = ws[slot(L)] + v
-                        return logg00(ws)
-                    val = fd_mixed_wirtinger(f2, 0.0, 0.0, h, richardson)
-                    max_defect = max(max_defect, abs(val))
+
+            def field(hstep):
+                out = np.zeros((n + 1, n + 1), dtype=complex)
+                for K in range(n + 1):
+                    for L in range(n + 1):
+                        out[K, L] = fd_mixed_wirtinger(
+                            shifted(logf, K, L), 0.0, 0.0, hstep, richardson)
+                return out
             notes.append("base metric degenerate; checked pluriharmonicity "
                          "of log g_00")
-            continue
+        else:
+            def logf(ws):
+                return cmath.log(np.linalg.det(g_of(ws)))
 
-        def logdet(ws):
-            return cmath.log(np.linalg.det(g_of(ws)))
+            target[1:, 1:] = (mu - (n + 1) * d) * loga_hess
 
-        target = np.zeros((n + 1, n + 1), dtype=complex)
-        target[1:, 1:] = (mu - (n + 1) * d) * loga_hess
+            def field(hstep):
+                # the Ricci form -dd log det g
+                ric = np.zeros((n + 1, n + 1), dtype=complex)
+                for K in range(n + 1):
+                    for L in range(n + 1):
+                        if K == L:
+                            f1 = shifted(logf, K)
+                            fx = fd_second(f1, 0.0, hstep, richardson)
+                            fy = fd_second(lambda t: f1(1j * t), 0.0, hstep,
+                                           richardson)
+                            ric[K, L] = -(fx + fy) / 4
+                        else:
+                            ric[K, L] = -fd_mixed_wirtinger(
+                                shifted(logf, K, L), 0.0, 0.0, hstep,
+                                richardson)
+                return ric
 
-        def ricci(hstep):
-            ric = np.zeros((n + 1, n + 1), dtype=complex)
-            for K in range(n + 1):
-                for L in range(n + 1):
-                    def f2(w, v, K=K, L=L):
-                        ws = list(coords)
-                        ws[slot(K)] = ws[slot(K)] + w
-                        ws[slot(L)] = ws[slot(L)] + v
-                        return logdet(ws)
-                    if K == L:
-                        def f1(w, K=K):
-                            ws = list(coords)
-                            ws[slot(K)] = ws[slot(K)] + w
-                            return logdet(ws)
-                        fx = fd_second(lambda t, f1=f1: f1(t), 0.0, hstep,
-                                       richardson)
-                        fy = fd_second(lambda t, f1=f1: f1(1j * t), 0.0,
-                                       hstep, richardson)
-                        ric[K, L] = -(fx + fy) / 4
-                    else:
-                        ric[K, L] = -fd_mixed_wirtinger(f2, 0.0, 0.0, hstep,
-                                                        richardson)
-            return ric
-
-        ric = ricci(h)
-        defect = float(np.max(np.abs(ric - target)))
+        fine = field(h)
+        defect = float(np.max(np.abs(fine - target)))
         max_defect = max(max_defect, defect)
         if diagnose_convergence:
-            ric_coarse = ricci(4 * h)
+            coarse_field = field(4 * h)
             order = 4 if richardson else 2
-            truncation = float(np.max(np.abs(ric - ric_coarse))) / \
+            truncation = float(np.max(np.abs(fine - coarse_field))) / \
                 (4 ** order - 1)
             roundoff = ROUNDOFF_C * np.finfo(float).eps * \
-                max(1.0, abs(logdet(coords))) / h ** 2
+                max(1.0, abs(logf(coords))) / h ** 2
             floor = max(1e-9, roundoff)
             if not truncation <= floor:      # a NaN estimate fails too
                 converged = False
-                coarse = float(np.max(np.abs(ric_coarse - target)))
+                coarse = float(np.max(np.abs(coarse_field - target)))
                 notes.append(
                     f"convergence not reached at step {h:g}: defect "
                     f"{defect:.3e} vs {coarse:.3e} at step {4 * h:g}, "
                     f"truncation estimate {truncation:.3e} above the "
                     f"error floor {floor:.3e}; refine the step or the grid")
+        if degenerate_base:
+            continue
 
         if full_riemann:
             g, dgE, ddgE = metric_derivatives(chart, z0, xi0)

@@ -236,6 +236,18 @@ def test_normalize_truncation_guard():
         normalize(p1p1_diagonal(3), 3)
 
 
+def test_parameter_budget_error():
+    """Degree-0 normal bundle: three lifting parameters per order, so the
+    order-3 family overruns the budget of 8 with a named error."""
+    from conedeform.cech import ParameterBudgetExhaustedError
+    t = linear_transition(1, 0, 4)
+    with pytest.raises(ParameterBudgetExhaustedError, match="budget"):
+        normalize(t, 3)
+    with pytest.raises(ParameterBudgetExhaustedError):
+        with_lifting_family(t, 1, first_param=6)
+    assert issubclass(ParameterBudgetExhaustedError, RuntimeError)
+
+
 def test_weight_from_order_signs():
     assert weight_from_order(2)[0] == -2
     assert weight_from_order(1)[0] == -1
@@ -291,3 +303,136 @@ def test_cocycle_identity_on_two_chart_cover():
     # and the transported class verdicts agree with the direct ones
     g_direct = splitting_obstruction(lift_params(t2), 1)
     assert not g_direct.vanishes()
+
+
+# ---------------------------------------------------------------------------
+# vanishing loci
+
+
+def test_vanishing_locus_kinds():
+    a = [Polynomial.variable(8, i) for i in range(8)]
+    one = Polynomial.constant(8, GR(1))
+    from conedeform.cech import vanishing_locus
+
+    loc = vanishing_locus([Polynomial.zero(8), GR(0)], [0])
+    assert (loc.kind, loc.description) == ("all", "identically zero")
+    # affine system of full rank: one point
+    loc = vanishing_locus([2 * a[0] + one, a[1] - 3 * one], [0, 1])
+    assert loc.kind == "points"
+    assert loc.points == [{0: GR(Fraction(-1, 2)), 1: GR(3)}]
+    assert loc.description == "a1 = -1/2, a2 = 3"
+    # univariate quadratic: its Q(i) roots
+    loc = vanishing_locus([a[0] * a[0] + a[0]], [0])
+    assert loc.kind == "points"
+    assert loc.points == [{0: GR(0)}, {0: GR(-1)}]
+    # rank-deficient consistent system: pivot params through the free ones
+    loc = vanishing_locus([a[0] + a[1] - one, 2 * a[0] + 2 * a[1] - 2 * one],
+                          [0, 1, 2])
+    assert loc.kind == "affine"
+    assert loc.substitution == {0: one - a[1]}
+    assert loc.description == "a1 = -1*a2+1"
+    loc = vanishing_locus([a[0] + 2 * a[2] - one], [0, 1, 2])
+    assert loc.kind == "affine"
+    assert loc.substitution == {0: one - 2 * a[2]}
+    # inconsistent affine system
+    loc = vanishing_locus([a[0] + a[1], a[0] + a[1] - one], [0, 1])
+    assert (loc.kind, loc.description) == ("empty", "no common zero")
+    # no active parameter: constants decide, inactive parameters read as 0
+    assert vanishing_locus([GR(3)], []).kind == "empty"
+    assert vanishing_locus([GR(0)], []).kind == "all"
+    loc = vanishing_locus([a[3]], [])
+    assert (loc.kind, loc.points, loc.description) == ("points", [{}], "")
+
+
+# ---------------------------------------------------------------------------
+# golden ledgers: every entry of normalize, pinned exactly
+
+DENSE_D1_DECK = """[normal-degree] d=1
+[y-series]
+a1: 2*z^-1
+a2: 1/2*z^-2+2*z^-1+1*z^0
+a3: -5*z^-3+2*z^-2+5/3*z^-1
+[z-series]
+a0: z^-1
+a1: -3*z^-2-3/2*z^-1-3/2*z^0
+a2: 5/3*z^-3-5/2*z^-2+5/2*z^-1
+a3: -5*z^-4-4/3*z^-3-5/2*z^-2
+"""
+
+_ZERO = ("all", "identically zero")
+_NONE = ("empty", "no common zero")
+_NATURAL = ("points", "natural chain (all parameters 0); nonlinear locus "
+                      "only partially enumerated")
+_NATURAL_CHAIN = "chain [a1 = 0, a2 = 0, a3 = 0]"
+
+# (order, kind, chain, window, class strings, locus kind, locus description)
+GOLDEN_LEDGERS = {
+    "p1p1_diagonal(5), order 3": (
+        [(1, "splitting", "chain", 0, [], *_ZERO),
+         (1, "comfortable", "chain", -2, ["-2*a1+-1"], "points", "a1 = -1/2"),
+         (2, "splitting", "chain [a1 = -1/2]", -2, ["-1/4"], *_NONE),
+         (1, "splitting-tower", "tower", 0, [], *_ZERO),
+         (2, "splitting-tower", "tower", -2, ["a1^2+a1"], "points",
+          "a1 = 0 or a1 = -1"),
+         (3, "splitting-tower", "tower [a1 = 0]", -4, ["0", "0", "0"], *_ZERO),
+         (3, "splitting-tower", "tower [a1 = -1]", -4, ["0", "0", "0"],
+          *_ZERO)],
+        {1: 1}, [], 2, 1),
+    "p2_conic(5), order 3": (
+        [(1, "splitting", "chain", -2, ["-1"], *_NONE),
+         (1, "splitting-tower", "tower", -2, ["-1"], *_NONE)],
+        {}, [], 1, 0),
+    "linear_transition(1, 1, 5), order 4": (
+        [(1, "splitting", "chain", 1, [], *_ZERO),
+         (1, "comfortable", "chain", -1, [], *_ZERO),
+         (2, "splitting", "chain", 0, [], *_ZERO),
+         (2, "comfortable", "chain", -2, ["-1*a1*a2+-1*a3"], *_NATURAL),
+         (3, "splitting", _NATURAL_CHAIN, -1, [], *_ZERO),
+         (3, "comfortable", _NATURAL_CHAIN, -3, ["0", "0"], *_ZERO),
+         (4, "splitting", _NATURAL_CHAIN, -2, ["0"], *_ZERO),
+         (4, "comfortable", _NATURAL_CHAIN, -4, ["0", "0", "0"], *_ZERO),
+         (1, "splitting-tower", "tower", 1, [], *_ZERO),
+         (2, "splitting-tower", "tower", 0, [], *_ZERO),
+         (3, "splitting-tower", "tower", -1, [], *_ZERO),
+         (4, "splitting-tower", "tower", -2, ["a1^2*a2^2+2*a1*a2*a3+a3^2"],
+          *_NATURAL)],
+        {1: 2, 2: 1},
+        ["no obstruction found through order 4; m(X,D) is "
+         "truncation-limited"], 4, 4),
+    "dense d=1 germ, order 2": (
+        [(1, "splitting", "chain", 1, [], *_ZERO),
+         (1, "comfortable", "chain", -1, [], *_ZERO),
+         (2, "splitting", "chain", 0, [], *_ZERO),
+         (2, "comfortable", "chain", -2, ["-1*a1*a2+-13/4*a2+-1*a3+-9/2"],
+          "unknown", "vanishing locus not solvable exactly (nonlinear in "
+                     "several parameters)"),
+         (1, "splitting-tower", "tower", 1, [], *_ZERO),
+         (2, "splitting-tower", "tower", 0, [], *_ZERO)],
+        {1: 2, 2: 1},
+        ["order 2: comfortable locus not solvable exactly; treating as "
+         "nonvanishing"], 2, 2),
+}
+
+
+def _golden_germs():
+    from conedeform.parsing import parse_transition_deck
+    return {"p1p1_diagonal(5), order 3": (p1p1_diagonal(5), 3),
+            "p2_conic(5), order 3": (p2_conic(5), 3),
+            "linear_transition(1, 1, 5), order 4":
+                (linear_transition(1, 1, 5), 4),
+            "dense d=1 germ, order 2":
+                (parse_transition_deck(DENSE_D1_DECK), 2)}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LEDGERS))
+def test_normalize_golden_ledger(name):
+    """The whole ledger of normalize: chains, tower, families, notes."""
+    t, order = _golden_germs()[name]
+    res = normalize(t, order)
+    entries = [(e.order, e.kind, e.chain, e.window,
+                [_pstr(c) for c in e.class_vector],
+                e.locus.kind, e.locus.description)
+               for e in res.ledger.entries]
+    got = (entries, res.ledger.families, res.ledger.notes,
+           res.m_comfortable, res.m_linearizable)
+    assert got == GOLDEN_LEDGERS[name]

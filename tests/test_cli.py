@@ -80,6 +80,16 @@ def test_refusal_exit_code(capsys):
     assert code == 2
 
 
+def test_parameter_budget_refusal(capsys, tmp_path):
+    deck = tmp_path / "d0.deck"
+    deck.write_text("[normal-degree] d=0\n[y-series]\na1: 1\na4: 0\n"
+                    "[z-series]\na0: z^-1\n")
+    code = main(["cech", "--input", str(deck), "--order", "3"])
+    assert code == 2
+    assert "refused: lifting-parameter budget exhausted" in \
+        capsys.readouterr().err
+
+
 def test_dbar_zero_model(capsys, tmp_path):
     report = tmp_path / "report.txt"
     code, out = run(capsys, "dbar", "--nu", "0.0", "--R", "0.3", "--rings",

@@ -118,6 +118,20 @@ def test_curvature_degenerate_base():
     assert any("degenerate" in n for n in rep.notes)
 
 
+def test_curvature_degenerate_base_diagnosed():
+    # the log g_00 check at a degenerate base point gets the same
+    # convergence diagnostic as the Ricci form
+    pot = Potential.from_terms(1, {(0, 0): 2})
+    bad = curvature_check(pot, Fraction(1, 3), 1, h=0.2, richardson=False,
+                          diagnose_convergence=True)
+    assert not bad.converged
+    assert any("convergence not reached" in n for n in bad.notes)
+    good = curvature_check(pot, Fraction(1, 3), 1, diagnose_convergence=True)
+    assert good.converged, good.notes
+    assert good.ricci_defect < 1e-8
+    assert any("degenerate" in n for n in good.notes)
+
+
 def test_radial_function_eikonal():
     """|dr| = 1 for the cone radius r = h^(delta/2).
 
