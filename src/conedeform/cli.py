@@ -32,11 +32,14 @@ ENV_DEFAULTS = {
 }
 
 
-def _env(name, cast, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    return cast(raw)
+def _env(name, cast):
+    """The override `name` cast by `cast`, else its ENV_DEFAULTS value."""
+    raw = os.environ.get(name, ENV_DEFAULTS[name][1])
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not a valid "
+                         f"{cast.__name__}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +306,7 @@ def cmd_metric(args):
     sec.add("Gamma^0_00", m.christoffels[0, 0, 0])
     sec.add("|dz|", m.frame_norms["dz"])
     sec.add("|dxi|", m.frame_norms["dxi"])
-    h = _env("CONEDEFORM_FD_STEP", float, 1e-5)
+    h = _env("CONEDEFORM_FD_STEP", float)
     gfd = christoffels_fd(chart, h=h)
     sec.add("FD christoffel defect",
             float(abs(gfd - m.christoffels).max()))
@@ -455,11 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--R", type=float, required=True)
     p.add_argument("--rings", type=int,
-                   default=_env("CONEDEFORM_DBAR_RINGS", int, 8))
+                   default=_env("CONEDEFORM_DBAR_RINGS", int))
     p.add_argument("--angular", type=int,
-                   default=_env("CONEDEFORM_DBAR_ANGULAR", int, 64))
+                   default=_env("CONEDEFORM_DBAR_ANGULAR", int))
     p.add_argument("--tol", type=float,
-                   default=_env("CONEDEFORM_DBAR_TOL", float, 1e-10))
+                   default=_env("CONEDEFORM_DBAR_TOL", float))
     p.add_argument("--model", required=True)
     p.add_argument("--report", default=None)
     common(p)
@@ -475,13 +478,12 @@ REFUSAL_ERRORS = (PreconditionFailure, ContractionFailure,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # building the parser reads the environment overrides
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    try:
-        return args.func(args)
     except REFUSAL_ERRORS as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return 2

@@ -7,8 +7,9 @@ base metric.  Index 0 is the fiber direction xi, indices 1..dimD the base
 directions.
 
 Everything analytic is computed through jet arithmetic at a point; the
-independent checks differentiate the evaluated fields by central finite
-differences (optionally Richardson-extrapolated) and compare against the
+independent checks differentiate the evaluated metric field (exact jets at
+each stencil point) by the central differences of conedeform.fd,
+Richardson-extrapolated unless richardson=False, and compare against the
 closed formulas:
 
     g_ij = delta a^delta |xi|^(-2 delta) delta_ij
@@ -26,6 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import fd
+from .fd import mixed_wirtinger as fd_mixed_wirtinger
 from .jets import Jet
 from .poly import Polynomial
 
@@ -278,25 +281,54 @@ def metric_at(chart: ConeChart) -> MetricAtPoint:
 # field evaluation (for FD oracles)
 
 
-def _phi_jet(chart: ConeChart, z, xi, order=4) -> Jet:
-    """Jet of Phi = a^delta (xi xibar)^(-delta) in (dz, dzbar, dxi, dxibar)."""
+def _slot(K, n):
+    """Position of coordinate K (0 = fiber xi, 1..n = base z_K) in the point
+    (z_1..z_n, xi); it is also the holomorphic jet variable of K, whose
+    antiholomorphic variable is n + 1 + _slot(K, n)."""
+    return n if K == 0 else K - 1
+
+
+def _exponent(n, hol=(), anti=()):
+    """Jet exponent of d_hol dbar_anti in (dz, dxi, dzbar, dxibar)."""
+    e = [0] * (2 * n + 2)
+    for K in hol:
+        e[_slot(K, n)] += 1
+    for L in anti:
+        e[n + 1 + _slot(L, n)] += 1
+    return e
+
+
+def _ddbar(jet: Jet, n) -> np.ndarray:
+    """The matrix d_I dbar_J of a jet in (dz, dxi, dzbar, dxibar)."""
+    g = np.zeros((n + 1, n + 1), dtype=complex)
+    for I in range(n + 1):
+        for J in range(n + 1):
+            g[I, J] = jet.partial(_exponent(n, (I,), (J,)))
+    return g
+
+
+def _lifted_jets(chart: ConeChart, z, xi, order):
+    """(A, t): the a-jet at z and t = |xi|^2, as jets in
+    (dz, dxi, dzbar, dxibar)."""
     n = chart.dimD
-    d = float(chart.delta)
-    a_jet_small = chart.potential.jet(z, order)
     nv = 2 * n + 2
-    # lift the a-jet into the bigger variable set
-    lifted = {}
-    for e, c in a_jet_small.coeffs.items():
-        lifted[tuple(e[:n]) + (0,) + tuple(e[n:]) + (0,)] = c
-    A = Jet(nv, order, lifted)
+    lifted = {tuple(e[:n]) + (0,) + tuple(e[n:]) + (0,): c
+              for e, c in chart.potential.jet(z, order).coeffs.items()}
     xi = complex(xi)
     # t = |xi|^2 expanded around |xi0|^2:  xibar0*dxi + xi0*dxibar + dxi*dxibar
     t = Jet(nv, order, {
         (0,) * nv: abs(xi) ** 2,
-        tuple(1 if k == n else 0 for k in range(nv)): xi.conjugate(),
-        tuple(1 if k == nv - 1 else 0 for k in range(nv)): xi,
-        tuple(1 if k in (n, nv - 1) else 0 for k in range(nv)): 1.0,
+        tuple(_exponent(n, (0,))): xi.conjugate(),
+        tuple(_exponent(n, (), (0,))): xi,
+        tuple(_exponent(n, (0,), (0,))): 1.0,
     })
+    return Jet(nv, order, lifted), t
+
+
+def _phi_jet(chart: ConeChart, z, xi, order=4) -> Jet:
+    """Jet of Phi = a^delta (xi xibar)^(-delta) in (dz, dzbar, dxi, dxibar)."""
+    A, t = _lifted_jets(chart, z, xi, order)
+    d = float(chart.delta)
     return A.power_real(d) * t.power_real(-d)
 
 
@@ -305,17 +337,7 @@ def metric_field(chart: ConeChart):
     n = chart.dimD
 
     def g_at(z, xi):
-        jet = _phi_jet(chart, z, xi, order=2)
-        g = np.zeros((n + 1, n + 1), dtype=complex)
-        nv = 2 * n + 2
-        for I in range(n + 1):
-            for J in range(n + 1):
-                e = [0] * nv
-                # holomorphic slots 0..n (fiber = n), antiholomorphic n+1..2n+1
-                e[n if I == 0 else I - 1] += 1
-                e[nv - 1 if J == 0 else n + J] += 1
-                g[I, J] = jet.partial(e)
-        return g
+        return _ddbar(_phi_jet(chart, z, xi, order=2), n)
 
     return g_at
 
@@ -325,33 +347,16 @@ def metric_derivatives(chart: ConeChart, z, xi):
     derivatives of the metric components at (z, xi); dg[K,I,J] = d_K g_IJ,
     ddg[K,L,I,J] = d_K dbar_L g_IJ."""
     n = chart.dimD
-    nv = 2 * n + 2
     jet = _phi_jet(chart, z, xi, order=4)
-
-    def hol(I):
-        return n if I == 0 else I - 1
-
-    def anti(J):
-        return nv - 1 if J == 0 else n + J
-
-    g = np.zeros((n + 1, n + 1), dtype=complex)
     dg = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
     ddg = np.zeros((n + 1, n + 1, n + 1, n + 1), dtype=complex)
     for I in range(n + 1):
         for J in range(n + 1):
-            e = [0] * nv
-            e[hol(I)] += 1
-            e[anti(J)] += 1
-            g[I, J] = jet.partial(e)
             for K in range(n + 1):
-                e2 = list(e)
-                e2[hol(K)] += 1
-                dg[K, I, J] = jet.partial(e2)
+                dg[K, I, J] = jet.partial(_exponent(n, (I, K), (J,)))
                 for L in range(n + 1):
-                    e3 = list(e2)
-                    e3[anti(L)] += 1
-                    ddg[K, L, I, J] = jet.partial(e3)
-    return g, dg, ddg
+                    ddg[K, L, I, J] = jet.partial(_exponent(n, (I, K), (J, L)))
+    return _ddbar(jet, n), dg, ddg
 
 
 def scaling_exponent(t: TensorType, delta) -> Fraction:
@@ -366,28 +371,8 @@ def comparison_metric_field(chart: ConeChart, eps=Fraction(1, 10)):
     e = float(eps)
 
     def g_at(z, xi):
-        nv = 2 * n + 2
-        a_small = chart.potential.jet(z, 2)
-        lifted = {}
-        for ee, c in a_small.coeffs.items():
-            lifted[tuple(ee[:n]) + (0,) + tuple(ee[n:]) + (0,)] = c
-        A = Jet(nv, 2, lifted)
-        xi = complex(xi)
-        t = Jet(nv, 2, {
-            (0,) * nv: abs(xi) ** 2,
-            tuple(1 if k == n else 0 for k in range(nv)): xi.conjugate(),
-            tuple(1 if k == nv - 1 else 0 for k in range(nv)): xi,
-            tuple(1 if k in (n, nv - 1) else 0 for k in range(nv)): 1.0,
-        })
-        phi = A.log() + A.inverse() * t * e
-        g = np.zeros((n + 1, n + 1), dtype=complex)
-        for I in range(n + 1):
-            for J in range(n + 1):
-                ee = [0] * nv
-                ee[n if I == 0 else I - 1] += 1
-                ee[nv - 1 if J == 0 else n + J] += 1
-                g[I, J] = phi.partial(ee)
-        return g
+        A, t = _lifted_jets(chart, z, xi, 2)
+        return _ddbar(A.log() + A.inverse() * t * e, n)
 
     return g_at
 
@@ -454,76 +439,34 @@ def _slope(xs, ys):
 # finite differences
 
 
-def fd_derivative(f, x0, h, richardson=True):
-    """Central difference d/dx of a callable R -> C at x0."""
-    def d(h):
-        return (f(x0 + h) - f(x0 - h)) / (2 * h)
-    if not richardson:
-        return d(h)
-    return (4 * d(h / 2) - d(h)) / 3
+def _moved(f, coords, *slots):
+    """(w, v, ...) -> f(z, xi) at the point coords = (z_1..z_n, xi) with
+    coordinate slots[0] moved by w, slots[1] by v, ..."""
+    n = len(coords) - 1
+
+    def fs(*steps):
+        ws = list(coords)
+        for K, w in zip(slots, steps):
+            ws[_slot(K, n)] += w
+        return f(ws[:n], ws[n])
+
+    return fs
 
 
-def fd_second(f, x0, h, richardson=True):
-    def d(h):
-        return (f(x0 + h) - 2 * f(x0) + f(x0 - h)) / (h * h)
-    if not richardson:
-        return d(h)
-    return (4 * d(h / 2) - d(h)) / 3
-
-
-def fd_wirtinger(fn, w0, h, richardson=True):
-    """(d/dw, d/dwbar) of fn: C -> C^k via central differences."""
-    fx = fd_derivative(lambda t: fn(w0 + t), 0.0, h, richardson)
-    fy = fd_derivative(lambda t: fn(w0 + 1j * t), 0.0, h, richardson)
-    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-
-
-def fd_mixed_wirtinger(fn, w0, v0, h, richardson=True):
-    """d^2/dw dvbar of fn(w, v) (two complex arguments)."""
-    def dbar_v(w):
-        gx = fd_derivative(lambda t: fn(w, v0 + t), 0.0, h, richardson)
-        gy = fd_derivative(lambda t: fn(w, v0 + 1j * t), 0.0, h, richardson)
-        return 0.5 * (gx + 1j * gy)
-    fx = fd_derivative(lambda t: dbar_v(w0 + t), 0.0, h, richardson)
-    fy = fd_derivative(lambda t: dbar_v(w0 + 1j * t), 0.0, h, richardson)
-    return 0.5 * (fx - 1j * fy)
+def _fd_jacobian(gfun, coords, h, richardson):
+    """FD Jacobian dg[K, I, J] = d_K g_IJ of the metric field gfun."""
+    return np.array([fd.wirtinger(_moved(gfun, coords, K), 0.0, h,
+                                  richardson)[0]
+                     for K in range(len(coords))])
 
 
 def christoffels_fd(chart: ConeChart, h=1e-5, richardson=True) -> np.ndarray:
     """FD Christoffels of the metric field: Gamma^k_ij = g^(k lbar) d_i g_(j lbar)."""
-    n = chart.dimD
     gfun = metric_field(chart)
     coords = list(chart.z) + [chart.xi]
-
-    def g_of(ws):
-        return gfun(ws[:n], ws[n])
-
-    g0 = g_of(coords)
-    ginv = np.linalg.inv(g0)
-    dg = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
-    for K in range(n + 1):
-        slot = n if K == 0 else K - 1
-
-        def fK(w, slot=slot):
-            ws = list(coords)
-            ws[slot] = ws[slot] + w
-            return g_of(ws)
-
-        dK, _ = _fd_matrix_wirtinger(fK, h, richardson)
-        dg[K] = dK
-    gamma = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
-    for k in range(n + 1):
-        for i in range(n + 1):
-            for j in range(n + 1):
-                gamma[k, i, j] = sum(ginv[l, k] * dg[i, j, l]
-                                     for l in range(n + 1))
-    return gamma
-
-
-def _fd_matrix_wirtinger(fn, h, richardson):
-    fx = fd_derivative(lambda t: fn(t), 0.0, h, richardson)
-    fy = fd_derivative(lambda t: fn(1j * t), 0.0, h, richardson)
-    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+    ginv = np.linalg.inv(gfun(chart.z, chart.xi))
+    dg = _fd_jacobian(gfun, coords, h, richardson)
+    return np.einsum("lk,ijl->kij", ginv, dg)
 
 
 @dataclass
@@ -588,9 +531,6 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
     for z0, xi0 in grid:
         coords = list(map(complex, z0)) + [complex(xi0)]
 
-        def g_of(ws):
-            return gfun(ws[:n], ws[n])
-
         # base Hessian of log a (exact), for the target Ricci
         a_jet = potential.jet(z0, 2)
         base_hess = np.zeros((n, n), dtype=complex)
@@ -612,37 +552,26 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
 
         degenerate_base = np.max(np.abs(loga_hess)) < 1e-14
 
-        def slot(K):
-            return n if K == 0 else K - 1
-
-        def shifted(f, *slots):
-            # f with the coordinates of the given slots moved by its args
-            def fs(*steps):
-                ws = list(coords)
-                for K, w in zip(slots, steps):
-                    ws[slot(K)] = ws[slot(K)] + w
-                return f(ws)
-            return fs
-
         target = np.zeros((n + 1, n + 1), dtype=complex)
         if degenerate_base:
             # only the fiber block is nondegenerate; log g_00 must be
             # pluriharmonic in every direction
-            def logf(ws):
-                return cmath.log(g_of(ws)[0, 0])
+            def logf(z, xi):
+                return cmath.log(gfun(z, xi)[0, 0])
 
             def field(hstep):
                 out = np.zeros((n + 1, n + 1), dtype=complex)
                 for K in range(n + 1):
                     for L in range(n + 1):
                         out[K, L] = fd_mixed_wirtinger(
-                            shifted(logf, K, L), 0.0, 0.0, hstep, richardson)
+                            _moved(logf, coords, K, L), 0.0, 0.0, hstep,
+                            richardson)
                 return out
             notes.append("base metric degenerate; checked pluriharmonicity "
                          "of log g_00")
         else:
-            def logf(ws):
-                return cmath.log(np.linalg.det(g_of(ws)))
+            def logf(z, xi):
+                return cmath.log(np.linalg.det(gfun(z, xi)))
 
             target[1:, 1:] = (mu - (n + 1) * d) * loga_hess
 
@@ -652,14 +581,15 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
                 for K in range(n + 1):
                     for L in range(n + 1):
                         if K == L:
-                            f1 = shifted(logf, K)
-                            fx = fd_second(f1, 0.0, hstep, richardson)
-                            fy = fd_second(lambda t: f1(1j * t), 0.0, hstep,
+                            # d^2/dw dwbar = Laplacian / 4
+                            f1 = _moved(logf, coords, K)
+                            fx = fd.second(f1, 0.0, hstep, richardson)
+                            fy = fd.second(lambda t: f1(1j * t), 0.0, hstep,
                                            richardson)
                             ric[K, L] = -(fx + fy) / 4
                         else:
                             ric[K, L] = -fd_mixed_wirtinger(
-                                shifted(logf, K, L), 0.0, 0.0, hstep,
+                                _moved(logf, coords, K, L), 0.0, 0.0, hstep,
                                 richardson)
                 return ric
 
@@ -672,7 +602,7 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
             truncation = float(np.max(np.abs(fine - coarse_field))) / \
                 (4 ** order - 1)
             roundoff = ROUNDOFF_C * np.finfo(float).eps * \
-                max(1.0, abs(logf(coords))) / h ** 2
+                max(1.0, abs(logf(coords[:n], coords[n]))) / h ** 2
             floor = max(1e-9, roundoff)
             if not truncation <= floor:      # a NaN estimate fails too
                 converged = False
@@ -686,35 +616,15 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
             continue
 
         if full_riemann:
-            g, dgE, ddgE = metric_derivatives(chart, z0, xi0)
-            ginv = np.linalg.inv(g)
-            # FD versions of dg and ddg
-            dg = np.zeros_like(dgE)
-            for K in range(n + 1):
-                def fK(w, K=K):
-                    ws = list(coords)
-                    ws[slot(K)] = ws[slot(K)] + w
-                    return g_of(ws)
-                dg[K], _ = _fd_matrix_wirtinger(fK, h, richardson)
-            ddg = np.zeros_like(ddgE)
-            for K in range(n + 1):
-                for L in range(n + 1):
-                    def fKL(w, v, K=K, L=L):
-                        ws = list(coords)
-                        ws[slot(K)] = ws[slot(K)] + w
-                        ws[slot(L)] = ws[slot(L)] + v
-                        return g_of(ws)
-                    ddg[K, L] = fd_mixed_wirtinger(fKL, 0.0, 0.0, h, richardson)
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    for k in range(n + 1):
-                        for l in range(n + 1):
-                            val = -ddg[k, l, i, j]
-                            for p in range(n + 1):
-                                for q in range(n + 1):
-                                    val += ginv[q, p] * dg[k, i, q] * \
-                                        dg[l, j, p].conjugate()
-                            max_riem = max(max_riem, abs(val))
+            ginv = np.linalg.inv(metric_derivatives(chart, z0, xi0)[0])
+            dg = _fd_jacobian(gfun, coords, h, richardson)
+            ddg = np.array([[fd_mixed_wirtinger(_moved(gfun, coords, K, L),
+                                                0.0, 0.0, h, richardson)
+                             for L in range(n + 1)] for K in range(n + 1)])
+            # R_ijkl = -d_k dbar_l g_ij + g^(q pbar) d_k g_iq conj(d_l g_jp)
+            riem = -ddg.transpose(2, 3, 0, 1) + \
+                np.einsum("qp,kiq,ljp->ijkl", ginv, dg, dg.conj())
+            max_riem = max(max_riem, np.abs(riem).max())
     return CurvatureReport(max_riem if full_riemann else None,
                            max_defect, len(grid), converged, notes)
 

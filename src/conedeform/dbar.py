@@ -27,6 +27,9 @@ arbitrary points synthesize by a phase sum per point.  Tf(0) needs only
 the ring integrals.  A plain polar-midpoint rule with the exact (vanishing)
 singular-cell integral is kept as the 'midpoint' scheme for the O(mesh^2)
 refinement check.
+
+The checks differentiate transform values by the central differences of
+conedeform.fd, unextrapolated, at steps scaled by the radius or the mesh.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import fd
 
 
 class QuadratureDivergence(ValueError):
@@ -644,18 +649,20 @@ def solve_beltrami(model: PerturbationModel, p: HolderParams, R, tol=1e-10,
 def beltrami_residual(model, g_final: DiskField, R, rings, angular, radial,
                       fd_scale=5e-3):
     """sup |dbar z + a(z) conj(dz)| on an independent, finer grid, with
-    finite-difference derivatives (ring-scaled steps)."""
+    central-difference Wirtinger derivatives at steps fd_scale * |zeta|."""
     vgrid = DiskGrid(R * 0.98, rings, 2 * angular, radial + 2, puncture=True)
     pts = vgrid.nodes().ravel()
-    h = fd_scale * np.abs(pts)
-    stencil = np.concatenate([pts, pts + h, pts - h, pts + 1j * h, pts - 1j * h])
-    vals = transform_at(g_final, stencil).reshape(5, -1)
-    zc, zxp, zxm, zyp, zym = vals
-    fx = (zxp - zxm) / (2 * h)
-    fy = (zyp - zym) / (2 * h)
-    dz = 0.5 * (fx - 1j * fy)
-    dzb = 0.5 * (fx + 1j * fy)
-    z = pts + zc
+    center = {}
+
+    def zfrak(stencil):
+        # zfrak at the nodes comes from the same transform call
+        vals = transform_at(g_final, np.concatenate([pts, stencil]))
+        center["zfrak"] = vals[:pts.size]
+        return vals[pts.size:]
+
+    dz, dzb = fd.wirtinger(zfrak, pts, fd_scale * np.abs(pts),
+                           richardson=False)
+    z = pts + center["zfrak"]
     res = dzb + model.a(z) * (1.0 + np.conj(dz))
     return float(np.abs(res).max())
 
@@ -760,10 +767,8 @@ def dbar_identity_defect(field_fn, R=0.5, level=0, base_rings=5,
     phis = 2 * np.pi * ((m * 0.6180339887498949) % 1.0)
     pts = rr * np.exp(1j * phis)
     step = 0.2 * 2 * np.pi / grid.angular
-    h = step * rr
-    st = np.concatenate([pts + h, pts - h, pts + 1j * h, pts - 1j * h])
-    tv = transform_at(F, st).reshape(4, -1)
-    dbar = 0.5 * ((tv[0] - tv[1]) / (2 * h) + 1j * (tv[2] - tv[3]) / (2 * h))
+    _, dbar = fd.wirtinger(lambda s: transform_at(F, s), pts, step * rr,
+                           richardson=False)
     return float(np.abs(dbar - field_fn(pts)).max())
 
 
@@ -796,10 +801,8 @@ def operator_identities_2var(resolution=32, R=0.8, fields=None,
             rr = np.abs(z1).ravel()[:keep1]
             h = np.minimum(step * rr, 0.45 * (R - rr))
             pts = z1.ravel()[:keep1]
-            st = np.concatenate([pts + h, pts - h, pts + 1j * h, pts - 1j * h])
-            tv = transform_at(F, st).reshape(4, -1)
-            dbar = 0.5 * ((tv[0] - tv[1]) / (2 * h) +
-                          1j * (tv[2] - tv[3]) / (2 * h))
+            _, dbar = fd.wirtinger(lambda s: transform_at(F, s), pts, h,
+                                   richardson=False)
             diag = max(diag, float(np.abs(dbar - f(pts, w2)).max()))
         # --- identity in variable 2, on slices z1 = const ------------------
         z1_probe = z1.ravel()[:: max(1, z1.size // 8)][:8]
@@ -808,23 +811,20 @@ def operator_identities_2var(resolution=32, R=0.8, fields=None,
             rr = np.maximum(np.abs(z2).ravel(), 0.05 * R)
             h = np.minimum(step * rr, 0.45 * (R - np.abs(z2).ravel()))
             pts = z2.ravel()
-            st = np.concatenate([pts + h, pts - h, pts + 1j * h, pts - 1j * h])
-            tv = transform_at(F2, st, modified=False).reshape(4, -1)
-            dbar = 0.5 * ((tv[0] - tv[1]) / (2 * h) +
-                          1j * (tv[2] - tv[3]) / (2 * h))
+            _, dbar = fd.wirtinger(
+                lambda s: transform_at(F2, s, modified=False), pts, h,
+                richardson=False)
             diag = max(diag, float(np.abs(dbar - f(w1, pts)).max()))
         # --- commutation: dbar_2 Ttilde^1 f = Ttilde^1 dbar_2 f ------------
         for w2 in z2_probe:
             h2 = min(step * max(abs(w2), 0.05 * R), 0.45 * (R - abs(w2)))
-            def tt(w):
-                return modified_transform(
-                    DiskField(grid1, f(z1, w), 0.0)).values
-            lhs = 0.5 * ((tt(w2 + h2) - tt(w2 - h2)) / (2 * h2) +
-                         1j * (tt(w2 + 1j * h2) - tt(w2 - 1j * h2)) / (2 * h2))
-            def dbar2f(zz1, w=w2, hh=1e-6):
-                return 0.5 * ((f(zz1, w + hh) - f(zz1, w - hh)) / (2 * hh) +
-                              1j * (f(zz1, w + 1j * hh) - f(zz1, w - 1j * hh)) / (2 * hh))
-            rhs = modified_transform(DiskField(grid1, dbar2f(z1), 0.0)).values
+            _, lhs = fd.wirtinger(
+                lambda w: modified_transform(
+                    DiskField(grid1, f(z1, w), 0.0)).values,
+                w2, h2, richardson=False)
+            _, dbar2f = fd.wirtinger(lambda w: f(z1, w), w2, 1e-6,
+                                     richardson=False)
+            rhs = modified_transform(DiskField(grid1, dbar2f, 0.0)).values
             cross = max(cross, float(np.abs(lhs - rhs).max()))
     return IdentityReport(diag, cross, resolution)
 

@@ -1,3 +1,5 @@
+import pytest
+
 from conedeform.cli import main
 
 
@@ -136,3 +138,28 @@ def test_env_override(capsys, monkeypatch):
     args = p.parse_args(["dbar", "--nu", "0.0", "--R", "0.3",
                          "--model", "const:0"])
     assert args.angular == 16
+
+
+@pytest.mark.parametrize("step", ["0", "nan", "-1e-5", "inf"])
+def test_bad_fd_step_is_input_error(capsys, monkeypatch, step):
+    monkeypatch.setenv("CONEDEFORM_FD_STEP", step)
+    code = main(["metric", "--delta", "1/2", "--potential", "1+|z|^2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "FD_christoffel_defect" not in captured.out
+    assert captured.err.startswith("input error:")
+    assert "finite-difference step" in captured.err
+
+
+@pytest.mark.parametrize("name, raw", [("CONEDEFORM_DBAR_RINGS", "abc"),
+                                       ("CONEDEFORM_DBAR_ANGULAR", "6.5"),
+                                       ("CONEDEFORM_DBAR_TOL", "tiny")])
+def test_malformed_env_override_is_input_error(capsys, monkeypatch, name,
+                                               raw):
+    # the dbar overrides are read while the parser is built, so every
+    # subcommand meets them
+    monkeypatch.setenv(name, raw)
+    code = main(["t1", "--example", "odp3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("input error:") and name in err
