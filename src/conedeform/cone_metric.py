@@ -96,11 +96,6 @@ class Potential:
         return Jet(2 * n, order, out)
 
 
-def round_potential(dimD: int, terms) -> Potential:
-    """a = c + sum |z_i|^2 style helper; terms maps (p, q) -> coeff."""
-    return Potential.from_terms(dimD, terms)
-
-
 def fubini_study_potential(dimD: int = 1) -> Potential:
     """a = 1 + sum |z_i|^2; the flat model on the cone over (P^n, O(1))."""
     n = dimD

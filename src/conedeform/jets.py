@@ -152,18 +152,3 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(nvars={self.nvars}, order={self.order}, nterms={len(self.coeffs)})"
-
-
-def multi_indices(nvars, max_order):
-    for total in range(max_order + 1):
-        for e in _compositions(total, nvars):
-            yield e
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest

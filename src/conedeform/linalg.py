@@ -2,6 +2,12 @@
 
 Used with `fractions.Fraction` and `GaussianRational`.  Matrices are
 lists of row lists; nothing here mutates its arguments.
+
+`row_echelon` eliminates sparsely: the matrices of the graded engine are
+mostly zero (a few percent of their entries), so each pivot row is kept
+as a dict {column: value} and only nonzero entries are ever touched.
+Input and output stay dense lists of rows, so callers see plain
+matrices.
 """
 
 from __future__ import annotations
@@ -11,37 +17,62 @@ def row_echelon(rows):
     """Reduced row echelon form.
 
     Returns (echelon_rows, pivot_columns); echelon rows are normalized to
-    leading coefficient 1 and fully reduced against each other.
+    leading coefficient 1, fully reduced against each other and ordered
+    by pivot column.  The reduced echelon form is unique, so this is
+    exactly the result of dense Gauss-Jordan elimination, zeros included
+    (they are the field's zero, e.g. `Fraction(0)`).
+
+    The elimination is sparse and incremental.  Each pivot row is a dict
+    {column: value} that stays fully reduced.  An incoming row is reduced
+    against the pivots whose columns it hits; if anything is left, its
+    leftmost entry is normalized to 1 and that column is eliminated from
+    the earlier pivot rows.  At the end the pivots are sorted by column
+    and densified.
     """
-    work = [list(r) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    ech = []
-    pivots = []
-    col = 0
-    while work and col < ncols:
-        pr = next((i for i, r in enumerate(work) if r[col] != 0), None)
-        if pr is None:
-            col += 1
+    pivot_rows = {}
+    ncols = 0
+    for row in rows:
+        ncols = len(row)
+        v = {j: x for j, x in enumerate(row) if x != 0}
+        for p in [j for j in v if j in pivot_rows]:
+            _subtract(v, v.pop(p), pivot_rows[p], p)
+        if not v:
             continue
-        row = work.pop(pr)
-        inv = row[col]
-        row = [x / inv for x in row]
-        for i, r in enumerate(work):
-            c = r[col]
-            if c != 0:
-                work[i] = [x - c * y for x, y in zip(r, row)]
-        work = [r for r in work if any(x != 0 for x in r)]
-        # reduce earlier echelon rows
-        for i, r in enumerate(ech):
-            c = r[col]
-            if c != 0:
-                ech[i] = [x - c * y for x, y in zip(r, row)]
-        ech.append(row)
-        pivots.append(col)
-        col += 1
-    return ech, pivots
+        lead = min(v)
+        inv = v[lead]
+        v = {j: x / inv for j, x in v.items()}
+        for prow in pivot_rows.values():
+            if lead in prow:
+                _subtract(prow, prow.pop(lead), v, lead)
+        pivot_rows[lead] = v
+    if not pivot_rows:
+        return [], []
+    pivots = sorted(pivot_rows)
+    one = pivot_rows[pivots[0]][pivots[0]]
+    zero = one - one
+    echelon = []
+    for p in pivots:
+        dense = [zero] * ncols
+        for j, x in pivot_rows[p].items():
+            dense[j] = x
+        echelon.append(dense)
+    return echelon, pivots
+
+
+def _subtract(v, c, row, skip):
+    """v -= c * row in place over the sparse entries, leaving out column skip."""
+    for j, y in row.items():
+        if j == skip:
+            continue
+        x = v.get(j)
+        if x is None:
+            v[j] = -c * y
+        else:
+            x = x - c * y
+            if x != 0:
+                v[j] = x
+            else:
+                del v[j]
 
 
 def rank(rows) -> int:
@@ -49,12 +80,17 @@ def rank(rows) -> int:
 
 
 def reduce_against(vec, ech, pivots):
-    """Residual of vec after elimination by an echelon basis."""
+    """Residual of vec after elimination by an echelon basis.
+
+    Only the nonzero entries of each echelon row are subtracted.
+    """
     v = list(vec)
     for row, p in zip(ech, pivots):
         c = v[p]
         if c != 0:
-            v = [x - c * y for x, y in zip(v, row)]
+            for j, y in enumerate(row):
+                if y != 0:
+                    v[j] = v[j] - c * y
     return v
 
 

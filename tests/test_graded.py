@@ -5,14 +5,17 @@ from math import comb
 
 import pytest
 
-from conedeform import linalg
+from conedeform import graded, linalg
+from conedeform.cli import EXAMPLE_DECKS
 from conedeform.graded import (ConeSingularity, DegreeMismatchError,
                                FirstOrderVanishes, Perturbation, RateInput,
-                               cubic_cone, deformation_weight,
+                               _degree_data, cubic_cone, deformation_weight,
                                jacobian_matrix, ordinary_double_point,
                                predicted_rate, quotient_basis, reduce_in_t1,
                                t1_graded, two_quadric_cone)
+from conedeform.parsing import parse_cone_deck
 from conedeform.poly import Polynomial
+from test_linalg import _dense_row_echelon
 
 
 def _vars(n):
@@ -352,3 +355,78 @@ def test_quotient_basis_independence_mod_ideal():
                 row[idx[e]] += c
             rows.append(row)
         assert linalg.rank(rows) == ideal_rank + basis.quotient_dim
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-series and Milnor-count oracles, and cones in 6 to 8 variables
+
+
+def _series_coefficient(factor_degrees, N, k):
+    """Coefficient of t^k in prod(1 - t^d for d in factor_degrees) / (1 - t)^N."""
+    if k < 0:
+        return 0
+    num = {0: 1}
+    for d in factor_degrees:
+        nxt = dict(num)
+        for e, c in num.items():
+            nxt[e + d] = nxt.get(e + d, 0) - c
+        num = nxt
+    return sum(c * comb(k - e + N - 1, N - 1) for e, c in num.items() if e <= k)
+
+
+def _fermat(N, d):
+    return ConeSingularity(N, [(Polynomial(N, {
+        tuple(d if j == i else 0 for j in range(N)): 1 for i in range(N)}), d)])
+
+
+def _diagonal_quadric_ci(N, codim):
+    """Vandermonde pencil sum_i (i+1)^k z_i^2, k < codim: every codim x codim
+    minor is nonzero, so the intersection is smooth away from the vertex."""
+    def sq(i):
+        return tuple(2 if j == i else 0 for j in range(N))
+    return ConeSingularity(N, [
+        (Polynomial(N, {sq(i): Fraction(i + 1) ** k for i in range(N)}), 2)
+        for k in range(codim)])
+
+
+def test_quotient_dims_match_hilbert_series():
+    """dim R(j) of a complete intersection is the t^j coefficient of
+    prod(1 - t^d_i) / (1 - t)^N (Stanley, Combinatorics and Commutative
+    Algebra)."""
+    cones = [parse_cone_deck(text).cone for text in EXAMPLE_DECKS.values()]
+    cones += [_diagonal_quadric_ci(N, codim)
+              for N in (6, 7, 8) for codim in (2, 3)]
+    for cone in cones:
+        degrees = cone.degrees()
+        for j in range(max(degrees) + 4):
+            assert len(_degree_data(cone, j).free) == _series_coefficient(
+                degrees, cone.ambient_dim, j), (cone, j)
+
+
+@pytest.mark.parametrize("N, j_max", [(6, 3), (7, 1)])
+def test_t1_fermat_cubic_matches_milnor_count(N, j_max):
+    """T1(j) of a hypersurface cone is the degree-(d+j) Milnor algebra: the
+    coefficient of ((1 - t^(d-1)) / (1 - t))^N."""
+    d = 3
+    rep = t1_graded(_fermat(N, d), -d - 1, j_max)
+    for j in range(-d - 1, j_max + 1):
+        assert rep.dimension(j) == _series_coefficient(
+            [d - 1] * N, N, d + j), j
+
+
+def test_t1_diagonal_quadric_cis():
+    # both tables agree with the dense Gauss-Jordan elimination as well
+    rep7 = t1_graded(_diagonal_quadric_ci(7, 3), -3, 1)
+    rep8 = t1_graded(_diagonal_quadric_ci(8, 3), -3, 1)
+    assert rep7.dims() == {-3: 0, -2: 3, -1: 14, 0: 27, 1: 21}
+    assert rep8.dims() == {-3: 0, -2: 3, -1: 16, 0: 36, 1: 32}
+
+
+def test_t1_ci_table_matches_dense_elimination(monkeypatch):
+    """The whole N = 7, codim 3 table, cokernel bases included, is the same
+    with the dense Gauss-Jordan oracle in place of the sparse elimination."""
+    sparse = t1_graded(_diagonal_quadric_ci(7, 3), -3, 1)
+    monkeypatch.setattr(graded.linalg, "row_echelon", _dense_row_echelon)
+    dense = t1_graded(_diagonal_quadric_ci(7, 3), -3, 1)
+    assert sparse.weights == dense.weights
+    assert sparse.window == dense.window

@@ -81,3 +81,106 @@ def test_gaussian_field_rank():
     one = GaussianRational(1)
     M = [[one, i], [i, -one]]   # second row = i * first row
     assert linalg.rank(M) == 1
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination against the dense Gauss-Jordan it replaced
+
+
+def _dense_row_echelon(rows):
+    """Dense Gauss-Jordan reduced echelon form: the oracle for row_echelon."""
+    work = [list(r) for r in rows]
+    if not work:
+        return [], []
+    ncols = len(work[0])
+    ech = []
+    pivots = []
+    col = 0
+    while work and col < ncols:
+        pr = next((i for i, r in enumerate(work) if r[col] != 0), None)
+        if pr is None:
+            col += 1
+            continue
+        row = work.pop(pr)
+        inv = row[col]
+        row = [x / inv for x in row]
+        for i, r in enumerate(work):
+            c = r[col]
+            if c != 0:
+                work[i] = [x - c * y for x, y in zip(r, row)]
+        work = [r for r in work if any(x != 0 for x in r)]
+        # reduce earlier echelon rows
+        for i, r in enumerate(ech):
+            c = r[col]
+            if c != 0:
+                ech[i] = [x - c * y for x, y in zip(r, row)]
+        ech.append(row)
+        pivots.append(col)
+        col += 1
+    return ech, pivots
+
+
+def _assert_same_echelon(rows):
+    got = linalg.row_echelon(rows)
+    want = _dense_row_echelon(rows)
+    assert got == want
+    for grow, wrow in zip(got[0], want[0]):
+        assert [type(x) for x in grow] == [type(x) for x in wrow]
+
+
+def _sparse_matrix(rng, m, n, field="q", density=0.3):
+    zero = GaussianRational(0) if field == "qi" else Fraction(0)
+    dense = _rand_matrix(rng, m, n, field)
+    return [[x if rng.random() < density else zero for x in row]
+            for row in dense]
+
+
+def test_row_echelon_matches_dense_oracle_edge_cases():
+    z, one = Fraction(0), Fraction(1)
+    cases = [
+        [],                                         # empty input
+        [[], [], []],                               # zero-width rows
+        [[z, z, z], [z, z, z]],                     # all-zero rows
+        [[one, Fraction(2)], [one, Fraction(2)]],   # duplicate rows
+        [[z, one, z], [z, Fraction(3), z], [z, z, z], [z, Fraction(-2), z]],
+        [[Fraction(2), Fraction(4), Fraction(6)],
+         [Fraction(1), Fraction(2), Fraction(3)],
+         [Fraction(0), Fraction(1), Fraction(1, 2)]],
+    ]
+    for rows in cases:
+        _assert_same_echelon(rows)
+
+
+def test_row_echelon_matches_dense_oracle_random():
+    rng = random.Random(6)
+    for trial in range(150):
+        field = "qi" if trial % 5 == 0 else "q"
+        shape = trial % 3
+        if shape == 0:      # tall
+            m, n = rng.randint(5, 12), rng.randint(1, 5)
+        elif shape == 1:    # wide
+            m, n = rng.randint(1, 5), rng.randint(5, 12)
+        else:
+            m = n = rng.randint(1, 8)
+        M = _sparse_matrix(rng, m, n, field, density=rng.choice((0.15, 0.4, 1)))
+        if trial % 4 == 0:
+            # rank-deficient: append combinations and copies of earlier rows
+            a, b = rng.choice(M), rng.choice(M)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            M = M + [list(a), [x - c * y for x, y in zip(a, b)]]
+            rng.shuffle(M)
+        _assert_same_echelon(M)
+
+
+def test_row_echelon_gaussian_rational_matches_dense_oracle():
+    i = GaussianRational(0, 1)
+    one = GaussianRational(1)
+    zero = GaussianRational(0)
+    M = [[one, i, zero, i + one],
+         [zero, i, -one, zero],
+         [zero, one, i, zero],          # -i times the second row
+         [zero, zero, zero, zero]]
+    _assert_same_echelon(M)
+    ech, piv = linalg.row_echelon(M)
+    assert piv == [0, 1]
+    assert all(type(x) is GaussianRational for row in ech for x in row)
