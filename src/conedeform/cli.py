@@ -128,20 +128,18 @@ a4: z^-9
 }
 
 
-def _load_deck(args):
-    if getattr(args, "input", None):
+def _load_deck(args, examples, parse, default=None):
+    """(parse(text), text, label) for the deck of --input FILE, or of the
+    built-in --example NAME (default if neither is given)."""
+    if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-        label = args.input
-    elif getattr(args, "example", None):
-        if args.example not in EXAMPLE_DECKS:
-            raise ParseError(f"unknown example {args.example!r}; choose from "
-                             + ", ".join(sorted(EXAMPLE_DECKS)))
-        text = EXAMPLE_DECKS[args.example]
-        label = f"example:{args.example}"
-    else:
+        return parse(text), text, args.input
+    name = args.example or default
+    if name is None:
         raise ParseError("provide --input FILE or --example NAME")
-    return parse_cone_deck(text), text, label
+    text = examples[name]
+    return parse(text), text, f"example:{name}"
 
 
 def _emit(report: Report, args):
@@ -158,7 +156,7 @@ def _emit(report: Report, args):
 
 
 def cmd_t1(args):
-    deck, text, label = _load_deck(args)
+    deck, text, label = _load_deck(args, EXAMPLE_DECKS, parse_cone_deck)
     rep = Report("t1", args.seed, digest(text))
     sec = rep.section("input")
     sec.add("source", label)
@@ -177,7 +175,7 @@ def cmd_t1(args):
 
 
 def cmd_weight(args):
-    deck, text, label = _load_deck(args)
+    deck, text, label = _load_deck(args, EXAMPLE_DECKS, parse_cone_deck)
     if deck.perturbation is None:
         raise ParseError("the deck has no [perturbation] section")
     rep = Report("weight", args.seed, digest(text))
@@ -198,7 +196,7 @@ def cmd_weight(args):
 
 def cmd_rate(args):
     if args.input or args.example:
-        deck, text, label = _load_deck(args)
+        deck, text, label = _load_deck(args, EXAMPLE_DECKS, parse_cone_deck)
         if deck.perturbation is None or deck.n is None or deck.alpha is None:
             raise ParseError("rate needs [perturbation] and [params] "
                              "n=<int> alpha=<p/q>")
@@ -243,18 +241,8 @@ def cmd_rate(args):
 
 
 def cmd_cech(args):
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        label = args.input
-    else:
-        name = args.example or "p1p1-diagonal"
-        if name not in TRANSITION_DECKS:
-            raise ParseError(f"unknown example {name!r}; choose from "
-                             + ", ".join(sorted(TRANSITION_DECKS)))
-        text = TRANSITION_DECKS[name]
-        label = f"example:{name}"
-    t = parse_transition_deck(text)
+    t, text, label = _load_deck(args, TRANSITION_DECKS, parse_transition_deck,
+                                "p1p1-diagonal")
     order = args.order or min(3, t.order - 1)
     rep = Report("cech", args.seed, digest(text))
     res = normalize(t, order)
@@ -292,7 +280,15 @@ def _strvec(entry):
 def cmd_metric(args):
     pot = parse_potential(args.potential, args.dimD)
     delta = Fraction(args.delta)
-    xi = complex(*(float(x) for x in args.xi.split(",")))
+    parts = args.xi.split(",")
+    if len(parts) > 2:
+        raise ParseError(f"--xi takes re or re,im, got {args.xi!r}")
+    xi = complex(*(float(x) for x in parts))
+    if args.sweep:
+        k0, k1 = (int(x) for x in args.sweep.split(".."))
+        if k1 <= k0:
+            raise ParseError(f"--sweep k0..k1 needs k1 > k0, got "
+                             f"{args.sweep!r}")
     chart = ConeChart(delta, args.dimD, (0.0,) * args.dimD, xi, pot)
     rep = Report("metric", args.seed, digest(
         f"{args.potential}|{args.delta}|{args.dimD}|{args.xi}"))
@@ -311,7 +307,6 @@ def cmd_metric(args):
     sec.add("FD christoffel defect",
             float(abs(gfd - m.christoffels).max()))
     if args.sweep:
-        k0, k1 = (int(x) for x in args.sweep.split(".."))
         sw = rep.section("scaling sweep")
         for kind, ttype in TENSOR_TYPES.items():
             pred = scaling_exponent(ttype, delta)

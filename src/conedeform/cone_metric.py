@@ -611,7 +611,7 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
             continue
 
         if full_riemann:
-            ginv = np.linalg.inv(metric_derivatives(chart, z0, xi0)[0])
+            ginv = np.linalg.inv(gfun(z0, xi0))
             dg = _fd_jacobian(gfun, coords, h, richardson)
             ddg = np.array([[fd_mixed_wirtinger(_moved(gfun, coords, K, L),
                                                 0.0, 0.0, h, richardson)

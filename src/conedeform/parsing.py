@@ -40,11 +40,18 @@ class _Scanner:
     def peek(self):
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self, ch):
-        if self.peek() == ch:
-            self.pos += 1
+    def take(self, s):
+        if self.text.startswith(s, self.pos):
+            self.pos += len(s)
             return True
         return False
+
+    def digits(self):
+        """The unsigned integer at the cursor, or None."""
+        start = self.pos
+        while self.peek().isdigit():
+            self.pos += 1
+        return int(self.text[start:self.pos]) if self.pos > start else None
 
     def expect_int(self, what="integer"):
         self.skip_ws()
@@ -62,92 +69,103 @@ class _Scanner:
         return self.pos >= len(self.text)
 
 
+# ---------------------------------------------------------------------------
+# the term grammar shared by polynomials, Laurent germs and potentials
+
+
 def _parse_coeff(sc: _Scanner):
     """int('/'int)? -- returns Fraction, or None if no digits here."""
-    sc.skip_ws()
-    if not sc.peek().isdigit():
+    num = sc.digits()
+    if num is None:
         return None
-    start = sc.pos
-    while sc.peek().isdigit():
-        sc.pos += 1
-    num = int(sc.text[start:sc.pos])
-    if sc.take("/"):
-        if not sc.peek().isdigit():
-            sc.error("expected denominator")
-        start = sc.pos
-        while sc.peek().isdigit():
-            sc.pos += 1
-        den = int(sc.text[start:sc.pos])
-        if den == 0:
-            sc.error("zero denominator")
-        return Fraction(num, den)
-    return Fraction(num)
+    if not sc.take("/"):
+        return Fraction(num)
+    den = sc.digits()
+    if den is None:
+        sc.error("expected denominator")
+    if den == 0:
+        sc.error("zero denominator")
+    return Fraction(num, den)
 
 
-def _parse_var(sc: _Scanner):
-    """'z' int ('^' int)? -> (index, exponent), or None."""
-    sc.skip_ws()
-    if sc.peek() != "z":
-        return None
-    sc.pos += 1
-    if not sc.peek().isdigit():
-        sc.error("expected variable index after 'z'")
-    start = sc.pos
-    while sc.peek().isdigit():
-        sc.pos += 1
-    idx = int(sc.text[start:sc.pos])
-    if idx == 0:
-        sc.error("variable indices start at 1")
-    exp = 1
-    if sc.take("^"):
-        if not sc.peek().isdigit():
-            sc.error("expected exponent")
-        exp = sc.expect_int("exponent")
-        if exp < 0:
-            sc.error("negative exponents are not allowed here")
-    return idx, exp
+def _sum(sc: _Scanner, factor):
+    """sign? term (('+'|'-') term)* up to the end of the text, where
+    term := coeff ('*'? factor ('*' factor)*)? | factor ('*' factor)*.
 
-
-def parse_polynomial_terms(text, line=1):
-    """poly := term (('+'|'-') term)*; returns [(Fraction, {idx: exp})]."""
-    sc = _Scanner(text, line)
+    factor(sc) reads one factor at the cursor as {key: exponent}, or
+    returns None if none starts there.  Returns [(Fraction, {key: exp})],
+    the exponents of a term's factors summed per key."""
     terms = []
-    sign = 1
-    sc.skip_ws()
-    if sc.take("-"):
-        sign = -1
-    elif sc.take("+"):
-        pass
     while True:
-        coeff = _parse_coeff(sc)
         sc.skip_ws()
-        if coeff is not None:
-            sc.take("*")
-        mono = {}
-        v = _parse_var(sc)
-        while v is not None:
-            idx, exp = v
-            mono[idx] = mono.get(idx, 0) + exp
-            sc.skip_ws()
-            if not sc.take("*"):
-                break
-            v = _parse_var(sc)
-            if v is None:
-                sc.error("expected variable after '*'")
-        if coeff is None and not mono:
-            sc.error("expected a term")
-        terms.append((sign * (coeff if coeff is not None else Fraction(1)),
-                      mono))
-        sc.skip_ws()
-        if sc.take("+"):
-            sign = 1
-        elif sc.take("-"):
+        if sc.take("-"):
             sign = -1
+        elif sc.take("+") or not terms:
+            sign = 1
         else:
             break
+        sc.skip_ws()
+        coeff = _parse_coeff(sc)
+        sc.skip_ws()
+        required = coeff is None or sc.take("*")
+        mono = {}
+        while True:
+            sc.skip_ws()
+            f = factor(sc)
+            if f is None:
+                if required:
+                    sc.error("expected a term" if coeff is None and not mono
+                             else "expected a factor after '*'")
+                break
+            for key, exp in f.items():
+                mono[key] = mono.get(key, 0) + exp
+            sc.skip_ws()
+            required = sc.take("*")
+            if not required:
+                break
+        terms.append((sign * (coeff if coeff is not None else Fraction(1)),
+                      mono))
     if not sc.at_end():
         sc.error(f"unexpected character {sc.peek()!r}")
     return terms
+
+
+def _index(sc: _Scanner, default=None, top=None):
+    """The variable index after 'z': at least 1, and at most top if given;
+    default when no digits follow (an error if default is None)."""
+    idx = sc.digits()
+    if idx is None:
+        if default is None:
+            sc.error("expected variable index after 'z'")
+        return default
+    if idx == 0:
+        sc.error("variable indices start at 1")
+    if top and idx > top:
+        sc.error(f"variable index {idx} exceeds dimD = {top}")
+    return idx
+
+
+def _power(sc: _Scanner, signed):
+    """'^' k after a factor, 1 if absent; k < 0 or blanks before k only
+    when signed."""
+    if not sc.take("^"):
+        return 1
+    if not signed and not sc.peek().isdigit():
+        sc.error("expected exponent")
+    return sc.expect_int("exponent")
+
+
+def _variable(sc: _Scanner):
+    """Polynomial factor z<i>(^k)?, as {i: k}."""
+    if not sc.take("z"):
+        return None
+    return {_index(sc): _power(sc, signed=False)}
+
+
+def parse_polynomial_terms(text, line=1):
+    """A sum of terms whose factors are z<i>^k; returns
+    [(Fraction, {i: k})]."""
+    return _sum(_Scanner(text, line), _variable)
 
 
 def realize_polynomial(terms, nvars) -> Polynomial:
@@ -168,6 +186,35 @@ def parse_polynomial(text, nvars=None, line=1) -> Polynomial:
     return realize_polynomial(terms, nvars)
 
 
+# ---------------------------------------------------------------------------
+# decks
+
+
+def _sections(text, names, inline):
+    """(line number, section, content) for each content line of a deck of
+    '[name]' sections, name in `names` or `inline`.  Blank and '#' lines
+    are skipped.  For a name in `inline`, the rest of the header line
+    '[name] rest' is a content line too."""
+    current = None
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("["):
+            end = line.find("]")
+            if end < 0:
+                raise ParseError("unterminated section header", ln, 1)
+            current = line[1:end].strip().lower()
+            if current not in names and current not in inline:
+                raise ParseError(f"unknown section [{current}]", ln, 1)
+            line = line[end + 1:].strip()
+            if not (line and current in inline):
+                continue
+        elif current is None:
+            raise ParseError("content before any section header", ln, 1)
+        yield ln, current, line
+
+
 @dataclass
 class ConeDeck:
     cone: ConeSingularity
@@ -185,31 +232,10 @@ def parse_cone_deck(text) -> ConeDeck:
     parsed polynomial."""
     sections = {"defining": [], "perturbation": []}
     params = {}
-    current = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            end = line.find("]")
-            if end < 0:
-                raise ParseError("unterminated section header", ln, 1)
-            name = line[1:end].strip().lower()
-            rest = line[end + 1:].strip()
-            if name == "params":
-                current = "params"
-                if rest:
-                    _parse_params(rest, params, ln)
-                continue
-            if name not in sections:
-                raise ParseError(f"unknown section [{name}]", ln, 1)
-            current = name
-            continue
-        if current == "params":
+    for ln, name, line in _sections(text, sections, ("params",)):
+        if name == "params":
             _parse_params(line, params, ln)
             continue
-        if current is None:
-            raise ParseError("content before any section header", ln, 1)
         decl = None
         body = line
         pos = line.rfind(";")
@@ -224,7 +250,7 @@ def parse_cone_deck(text) -> ConeDeck:
                 raise ParseError("expected an integer degree declaration",
                                  ln, pos + 2)
             body = line[:pos]
-        sections[current].append((ln, body, decl))
+        sections[name].append((ln, body, decl))
     if not sections["defining"]:
         raise ParseError("no [defining] section")
     parsed = {}
@@ -291,78 +317,31 @@ def _parse_params(text, params, ln):
 # transition decks
 
 
+def _z_power(sc: _Scanner):
+    """Laurent factor z(^k)?, k of either sign, as {1: k}."""
+    if not sc.take("z"):
+        return None
+    return {1: _power(sc, signed=True)}
+
+
 def parse_laurent(text, line=1) -> LaurentPoly:
-    """laurent := lterm (('+'|'-') lterm)*; lterm := coeff? 'z^'int?"""
-    sc = _Scanner(text, line)
+    """A Laurent polynomial in z: a sum of terms whose factors are z^k."""
     coeffs = {}
-    sign = 1
-    sc.skip_ws()
-    if sc.take("-"):
-        sign = -1
-    elif sc.take("+"):
-        pass
-    while True:
-        coeff = _parse_coeff(sc)
-        sc.skip_ws()
-        if coeff is not None:
-            sc.take("*")
-            sc.skip_ws()
-        exp = 0
-        if sc.peek() == "z":
-            sc.pos += 1
-            if sc.take("^"):
-                exp = sc.expect_int("exponent")
-            else:
-                exp = 1
-        elif coeff is None:
-            sc.error("expected a Laurent term")
-        c = sign * (coeff if coeff is not None else Fraction(1))
-        key = exp
-        prev = coeffs.get(key, GaussianRational(0))
-        coeffs[key] = prev + GaussianRational(c)
-        sc.skip_ws()
-        if sc.take("+"):
-            sign = 1
-        elif sc.take("-"):
-            sign = -1
-        else:
-            break
-    if not sc.at_end():
-        sc.error(f"unexpected character {sc.peek()!r}")
+    for c, mono in _sum(_Scanner(text, line), _z_power):
+        k = mono.get(1, 0)
+        coeffs[k] = coeffs.get(k, GaussianRational(0)) + GaussianRational(c)
     return LaurentPoly(coeffs)
 
 
 def parse_transition_deck(text) -> TruncatedTransition:
     """Transition input: [y-series], [z-series], [normal-degree] sections,
     with 'a<k>: <laurent>' lines giving the order-k coefficients."""
-    y_terms = {}
-    z_terms = {}
+    series = {"y-series": {}, "z-series": {}}
     declared_d = None
-    current = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            end = line.find("]")
-            if end < 0:
-                raise ParseError("unterminated section header", ln, 1)
-            name = line[1:end].strip().lower()
-            rest = line[end + 1:].strip()
-            if name == "normal-degree":
-                current = "normal-degree"
-                if rest:
-                    declared_d = _parse_normal_degree(rest, ln)
-                continue
-            if name not in ("y-series", "z-series"):
-                raise ParseError(f"unknown section [{name}]", ln, 1)
-            current = name
-            continue
-        if current == "normal-degree":
+    for ln, name, line in _sections(text, series, ("normal-degree",)):
+        if name == "normal-degree":
             declared_d = _parse_normal_degree(line, ln)
             continue
-        if current is None:
-            raise ParseError("content before any section header", ln, 1)
         if ":" not in line:
             raise ParseError("expected 'a<k>: <laurent>'", ln, 1)
         head, body = line.split(":", 1)
@@ -370,10 +349,11 @@ def parse_transition_deck(text) -> TruncatedTransition:
         if not head.startswith("a") or not head[1:].isdigit():
             raise ParseError("expected coefficient label a<k>", ln, 1)
         k = int(head[1:])
-        target = y_terms if current == "y-series" else z_terms
+        target = series[name]
         if k in target:
             raise ParseError(f"duplicate coefficient a{k}", ln, 1)
         target[k] = parse_laurent(body, ln)
+    y_terms, z_terms = series["y-series"], series["z-series"]
     if not y_terms:
         raise ParseError("no [y-series] section")
     order = max(list(y_terms) + list(z_terms) + [1])
@@ -392,11 +372,10 @@ def parse_transition_deck(text) -> TruncatedTransition:
 
 
 def _parse_normal_degree(text, ln):
-    chunk = text.strip()
-    if not chunk.startswith("d="):
+    if not text.startswith("d="):
         raise ParseError("expected d=<int>", ln, 1)
     try:
-        return int(chunk[2:])
+        return int(text[2:])
     except ValueError:
         raise ParseError("expected an integer normal degree", ln, 1)
 
@@ -405,94 +384,34 @@ def _parse_normal_degree(text, ln):
 # potential expressions
 
 
+def _potential_factor(sc: _Scanner, top):
+    """Potential factor |z<i>|^2k, zbar<i>(^k)? or z<i>(^k)?, as
+    {(i, conjugated): k}; the index defaults to 1 and is at most top."""
+    if sc.take("|"):
+        if not sc.take("z"):
+            sc.error("expected z inside |.|")
+        idx = _index(sc, 1, top)
+        if not sc.take("|"):
+            sc.error("expected closing '|'")
+        exp = sc.expect_int("exponent") if sc.take("^") else 2
+        if exp % 2:
+            sc.error("|z| powers must be even")
+        return {(idx, False): exp // 2, (idx, True): exp // 2}
+    bar = sc.take("zbar")
+    if not (bar or sc.take("z")):
+        return None
+    idx = _index(sc, 1, top)
+    return {(idx, bar): _power(sc, signed=True)}
+
+
 def parse_potential(text, dimD=None):
     """Polynomials in |z|^2, z_i and zbar_i with rational coefficients,
-    e.g. '1 + |z|^2' or '2 - 1/3*z1*zbar1 + |z2|^2'."""
+    e.g. '1 + |z|^2' or '2 - 1/3*z1*zbar1 + |z2|^2'.  Indices run from 1
+    to dimD; without dimD, up to the largest index used."""
     from .cone_metric import Potential
-    sc = _Scanner(text)
-    terms = []
-    sign = 1
-    sc.skip_ws()
-    if sc.take("-"):
-        sign = -1
-    elif sc.take("+"):
-        pass
-    while True:
-        coeff = _parse_coeff(sc)
-        sc.skip_ws()
-        if coeff is not None:
-            sc.take("*")
-            sc.skip_ws()
-        factors = {}
-
-        def add(idx, bar, exp=1):
-            factors[(idx, bar)] = factors.get((idx, bar), 0) + exp
-
-        found = True
-        while found:
-            found = False
-            sc.skip_ws()
-            if sc.peek() == "|":
-                sc.pos += 1
-                if sc.peek() != "z":
-                    sc.error("expected z inside |.|")
-                sc.pos += 1
-                idx = 1
-                if sc.peek().isdigit():
-                    idx = sc.expect_int("variable index")
-                if not sc.take("|"):
-                    sc.error("expected closing '|'")
-                exp = 2
-                if sc.take("^"):
-                    exp = sc.expect_int("exponent")
-                    if exp % 2:
-                        sc.error("|z| powers must be even")
-                add(idx, False, exp // 2)
-                add(idx, True, exp // 2)
-                found = True
-            elif sc.text.startswith("zbar", sc.pos):
-                sc.pos += 4
-                idx = 1
-                if sc.peek().isdigit():
-                    idx = sc.expect_int("variable index")
-                exp = 1
-                if sc.take("^"):
-                    exp = sc.expect_int("exponent")
-                add(idx, True, exp)
-                found = True
-            elif sc.peek() == "z":
-                sc.pos += 1
-                idx = 1
-                if sc.peek().isdigit():
-                    idx = sc.expect_int("variable index")
-                exp = 1
-                if sc.take("^"):
-                    exp = sc.expect_int("exponent")
-                add(idx, False, exp)
-                found = True
-            if found:
-                sc.skip_ws()
-                if not sc.take("*"):
-                    break
-        if coeff is None and not factors:
-            sc.error("expected a term")
-        terms.append((sign * (coeff if coeff is not None else Fraction(1)),
-                      dict(factors)))
-        sc.skip_ws()
-        if sc.take("+"):
-            sign = 1
-        elif sc.take("-"):
-            sign = -1
-        else:
-            break
-    if not sc.at_end():
-        sc.error(f"unexpected character {sc.peek()!r}")
+    terms = _sum(_Scanner(text), lambda sc: _potential_factor(sc, dimD))
     n = dimD or max((idx for _, f in terms for idx, _ in f), default=1)
-    poly_terms = {}
-    for c, f in terms:
-        e = [0] * (2 * n)
-        for (idx, bar), exp in f.items():
-            e[(n + idx - 1) if bar else (idx - 1)] += exp
-        key = tuple(e)
-        poly_terms[key] = poly_terms.get(key, Fraction(0)) + c
-    return Potential.from_terms(n, poly_terms)
+    # z_i is variable i, zbar_i variable n + i
+    slots = [(c, {idx + n * bar: exp for (idx, bar), exp in f.items()})
+             for c, f in terms]
+    return Potential(n, realize_polynomial(slots, 2 * n))

@@ -163,3 +163,18 @@ def test_malformed_env_override_is_input_error(capsys, monkeypatch, name,
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("input error:") and name in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dimD", "1", "--potential", "1+|z2|^2"],
+    ["--potential", "1+|z0|^2"],
+    ["--potential", "1+|z|^2", "--xi", "1,2,3"],
+    ["--potential", "1+|z|^2", "--sweep", "1..1"],
+    ["--potential", "1+|z|^2", "--sweep", "3..1"],
+])
+def test_metric_bad_input_is_input_error(capsys, argv):
+    code = main(["metric", "--delta", "1/2", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from conedeform.cone_metric import (ConeChart, NotNormalizedChart,
-                                    Potential, TENSOR_TYPES, TensorType,
+                                    Potential, ROUNDOFF_C, TENSOR_TYPES,
+                                    TensorType, _fd_jacobian, _moved,
                                     calabi_exponent, christoffels_fd,
                                     curvature_check, empirical_scaling_slope,
+                                    fd_mixed_wirtinger,
                                     fubini_study_potential, metric_at,
-                                    metric_field, normalize_chart,
-                                    random_normalized_chart, scaling_exponent,
-                                    tensor_norm, tian_yau_exponent,
-                                    basis_tensor, JetPotential)
+                                    metric_derivatives, metric_field,
+                                    normalize_chart, random_normalized_chart,
+                                    scaling_exponent, tensor_norm,
+                                    tian_yau_exponent, basis_tensor,
+                                    JetPotential)
 from conedeform.jets import Jet
 
 
@@ -263,3 +266,29 @@ def test_curvature_diagnostic_ignores_step_independent_defect():
                           diagnose_convergence=True)
     assert rep.converged
     assert rep.ricci_defect > 0.1
+
+
+# FD error model of the Richardson-extrapolated stencils at step h: a
+# truncation term TRUNCATION_C * h^4 plus a roundoff term ROUNDOFF_C * eps /
+# h^k for a k-th derivative, both relative to max |g|.  TRUNCATION_C bounds
+# the fifth and sixth derivatives of g against max |g| on random normalized
+# charts (at most about 7e3 on 24 charts, read off at h = 1e-2).
+TRUNCATION_C = 1e4
+
+
+@pytest.mark.parametrize("dimD, seed", [(1, 0), (1, 9), (2, 6)])
+def test_fd_metric_derivatives_match_exact_jets(dimD, seed):
+    chart = random_normalized_chart(random.Random(seed), dimD)
+    g, dg, ddg = metric_derivatives(chart, chart.z, chart.xi)
+    gfun = metric_field(chart)
+    coords = list(map(complex, chart.z)) + [complex(chart.xi)]
+    h = 1e-3
+    fd_dg = _fd_jacobian(gfun, coords, h, True)
+    fd_ddg = np.array([[fd_mixed_wirtinger(_moved(gfun, coords, K, L),
+                                           0.0, 0.0, h, True)
+                        for L in range(dimD + 1)] for K in range(dimD + 1)])
+    eps = np.finfo(float).eps
+    for k, fd_value, exact in ((1, fd_dg, dg), (2, fd_ddg, ddg)):
+        tol = np.abs(g).max() * (TRUNCATION_C * h ** 4
+                                 + ROUNDOFF_C * eps / h ** k)
+        assert np.abs(fd_value - exact).max() <= tol
