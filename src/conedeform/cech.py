@@ -191,9 +191,6 @@ class ObstructionClass:
     def vanishes(self):
         return all(c == 0 for c in self.vector)
 
-    def vector_strings(self):
-        return [_poly_str(c) for c in self.vector]
-
 
 def _check_normalized(t, k, need_comfortable_through):
     for a in range(1, k):
@@ -810,8 +807,3 @@ def linear_transition(c, d: int, order: int = 4) -> TruncatedTransition:
     zs = YSeries(order, [LaurentPoly.monomial(-1, GaussianRational(1))])
     return TruncatedTransition(ys, zs)
 
-
-BUILTIN_TRANSITIONS = {
-    "p1p1-diagonal": p1p1_diagonal,
-    "p2-conic": p2_conic,
-}

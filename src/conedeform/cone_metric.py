@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fd
 from .fd import mixed_wirtinger as fd_mixed_wirtinger
-from .jets import Jet
+from .jets import Jet, conjugate_exponent, wirtinger_exponent
 from .poly import Polynomial
 
 
@@ -54,8 +54,7 @@ class Potential:
         self.dimD = dimD
         self.poly = poly
         for e, c in poly.terms.items():
-            mirror = tuple(e[dimD:] + e[:dimD])
-            if poly.terms.get(mirror, None) != c:
+            if poly.terms.get(conjugate_exponent(e), None) != c:
                 raise ValueError("potential is not real-valued "
                                  "(coefficients not mirror-symmetric)")
 
@@ -72,10 +71,10 @@ class Potential:
         n = self.dimD
         vals = list(map(complex, z)) + [complex(v).conjugate() for v in z]
         out = {}
-        work = {(0,) * (2 * n): self.poly}
         # iterative differentiation, collecting coefficients /(p! q!)
-        frontier = [((0,) * (2 * n), self.poly)]
-        seen = {(0,) * (2 * n)}
+        zero = wirtinger_exponent(2 * n)
+        frontier = [(zero, self.poly)]
+        seen = {zero}
         while frontier:
             e, p = frontier.pop()
             coeff = complex(p.evaluate(vals))
@@ -98,14 +97,10 @@ class Potential:
 
 def fubini_study_potential(dimD: int = 1) -> Potential:
     """a = 1 + sum |z_i|^2; the flat model on the cone over (P^n, O(1))."""
-    n = dimD
-    terms = {(0,) * (2 * n): 1}
-    for i in range(n):
-        e = [0] * (2 * n)
-        e[i] = 1
-        e[n + i] = 1
-        terms[tuple(e)] = 1
-    return Potential.from_terms(n, terms)
+    terms = {wirtinger_exponent(2 * dimD): 1}
+    for i in range(dimD):
+        terms[wirtinger_exponent(2 * dimD, (i,), (i,))] = 1
+    return Potential.from_terms(dimD, terms)
 
 
 class JetPotential:
@@ -117,20 +112,25 @@ class JetPotential:
         self.anchor = tuple(anchor or (0.0,) * dimD)
 
     def jet(self, z, order=4):
+        """The stored jet re-expanded at z, truncated at `order` (at most
+        the stored order)."""
+        if order > self._jet.order:
+            raise ValueError(f"potential known only to order "
+                             f"{self._jet.order}, order {order} requested")
+        jet = self._jet
         if tuple(map(complex, z)) != tuple(map(complex, self.anchor)):
             # re-expand the stored polynomial jet at the displaced point
             n = self.dimD
             shift = [complex(a) - complex(b) for a, b in zip(z, self.anchor)]
             mapping = {}
             for i in range(n):
-                mapping[i] = Jet.variable(2 * n, self._jet.order, i, base=shift[i])
-                mapping[n + i] = Jet.variable(2 * n, self._jet.order, n + i,
-                                              base=shift[i].conjugate())
-            return self._jet.subst(mapping)
-        return self._jet
+                mapping[i] = Jet.variable(2 * n, jet.order, i, base=shift[i])
+                mapping[n + i] = mapping[i].conjugate()
+            jet = jet.subst(mapping)
+        return Jet(jet.nvars, order, jet.coeffs)
 
     def value(self, z):
-        return self.jet(z).value()
+        return self.jet(z, 0).value()
 
 
 # ---------------------------------------------------------------------------
@@ -192,58 +192,44 @@ def tian_yau_exponent(alpha, n: int) -> Fraction:
 
 
 JET_TOL = 1e-12
+# Order of the a-jets of random and normalized charts.
+CHART_ORDER = 4
 
 
-def _chart_jet(chart: ConeChart, order=4) -> Jet:
-    return chart.potential.jet(chart.z, order)
-
-
-def check_normalized(chart: ConeChart, tol=JET_TOL):
+def check_normalized(chart: ConeChart):
     """Validate the normalized-chart jet conditions at the chart point.
 
     Requires a > 0, vanishing first z-derivatives and (2,0)-Hessian of a,
     a_(i jbar) = a * delta_ij, and vanishing (2,1)-jets (flat omega_D
-    derivatives).  Raises NotNormalizedChart past the tolerance."""
+    derivatives).  Raises NotNormalizedChart past JET_TOL."""
     n = chart.dimD
-    jt = _chart_jet(chart, 3)
+    jt = chart.potential.jet(chart.z, 3)
     a0 = jt.value().real
     if not a0 > 0:
         raise NotNormalizedChart("potential must be positive")
     scale = max(a0, 1.0)
 
     def bad(name, value):
-        raise NotNormalizedChart(f"{name} = {value:.3e} exceeds {tol}")
+        raise NotNormalizedChart(f"{name} = {value:.3e} exceeds {JET_TOL}")
 
     for i in range(n):
-        e = [0] * (2 * n)
-        e[i] = 1
-        v = jt.partial(e)
-        if abs(v) > tol * scale:
+        v = jt.wirtinger((i,))
+        if abs(v) > JET_TOL * scale:
             bad(f"d_z{i + 1} a", abs(v))
         for j in range(i, n):
-            e2 = [0] * (2 * n)
-            e2[i] += 1
-            e2[j] += 1
-            v = jt.partial(e2)
-            if abs(v) > tol * scale:
+            v = jt.wirtinger((i, j))
+            if abs(v) > JET_TOL * scale:
                 bad(f"d2_z{i + 1}z{j + 1} a", abs(v))
         for j in range(n):
-            e3 = [0] * (2 * n)
-            e3[i] = 1
-            e3[n + j] = 1
-            v = jt.partial(e3)
+            v = jt.wirtinger((i,), (j,))
             want = a0 if i == j else 0.0
-            if abs(v - want) > tol * scale:
+            if abs(v - want) > JET_TOL * scale:
                 bad(f"a_{i + 1}{j + 1}bar - a*I", abs(v - want))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                e = [0] * (2 * n)
-                e[i] += 1
-                e[j] += 1
-                e[n + k] += 1
-                v = jt.partial(e)
-                if abs(v) > tol * scale:
+                v = jt.wirtinger((i, j), (k,))
+                if abs(v) > JET_TOL * scale:
                     bad("(2,1) jet of a", abs(v))
     return a0
 
@@ -285,21 +271,15 @@ def _slot(K, n):
 
 def _exponent(n, hol=(), anti=()):
     """Jet exponent of d_hol dbar_anti in (dz, dxi, dzbar, dxibar)."""
-    e = [0] * (2 * n + 2)
-    for K in hol:
-        e[_slot(K, n)] += 1
-    for L in anti:
-        e[n + 1 + _slot(L, n)] += 1
-    return e
+    return wirtinger_exponent(2 * n + 2, [_slot(K, n) for K in hol],
+                              [_slot(L, n) for L in anti])
 
 
 def _ddbar(jet: Jet, n) -> np.ndarray:
     """The matrix d_I dbar_J of a jet in (dz, dxi, dzbar, dxibar)."""
-    g = np.zeros((n + 1, n + 1), dtype=complex)
-    for I in range(n + 1):
-        for J in range(n + 1):
-            g[I, J] = jet.partial(_exponent(n, (I,), (J,)))
-    return g
+    slots = [_slot(K, n) for K in range(n + 1)]
+    return np.array([[jet.wirtinger((I,), (J,)) for J in slots]
+                     for I in slots], dtype=complex)
 
 
 def _lifted_jets(chart: ConeChart, z, xi, order):
@@ -310,18 +290,19 @@ def _lifted_jets(chart: ConeChart, z, xi, order):
     lifted = {tuple(e[:n]) + (0,) + tuple(e[n:]) + (0,): c
               for e, c in chart.potential.jet(z, order).coeffs.items()}
     xi = complex(xi)
+    fiber = (_slot(0, n),)
     # t = |xi|^2 expanded around |xi0|^2:  xibar0*dxi + xi0*dxibar + dxi*dxibar
     t = Jet(nv, order, {
-        (0,) * nv: abs(xi) ** 2,
-        tuple(_exponent(n, (0,))): xi.conjugate(),
-        tuple(_exponent(n, (), (0,))): xi,
-        tuple(_exponent(n, (0,), (0,))): 1.0,
+        wirtinger_exponent(nv): abs(xi) ** 2,
+        wirtinger_exponent(nv, fiber): xi.conjugate(),
+        wirtinger_exponent(nv, (), fiber): xi,
+        wirtinger_exponent(nv, fiber, fiber): 1.0,
     })
     return Jet(nv, order, lifted), t
 
 
 def _phi_jet(chart: ConeChart, z, xi, order=4) -> Jet:
-    """Jet of Phi = a^delta (xi xibar)^(-delta) in (dz, dzbar, dxi, dxibar)."""
+    """Jet of Phi = a^delta (xi xibar)^(-delta) in (dz, dxi, dzbar, dxibar)."""
     A, t = _lifted_jets(chart, z, xi, order)
     d = float(chart.delta)
     return A.power_real(d) * t.power_real(-d)
@@ -360,14 +341,18 @@ def scaling_exponent(t: TensorType, delta) -> Fraction:
     return (d * t.p_h + (d + 1) * t.p_v - d * t.q_h - (d + 1) * t.q_v)
 
 
-def comparison_metric_field(chart: ConeChart, eps=Fraction(1, 10)):
-    """Smooth comparison metric pi^* omega_D + eps i ddbar (|xi|^2 / a)."""
+# Weight of the fiber term in the comparison metric.
+COMPARISON_EPS = 0.1
+
+
+def comparison_metric_field(chart: ConeChart):
+    """Smooth comparison metric pi^* omega_D + eps i ddbar (|xi|^2 / a),
+    eps = COMPARISON_EPS."""
     n = chart.dimD
-    e = float(eps)
 
     def g_at(z, xi):
         A, t = _lifted_jets(chart, z, xi, 2)
-        return _ddbar(A.log() + A.inverse() * t * e, n)
+        return _ddbar(A.log() + A.inverse() * t * COMPARISON_EPS, n)
 
     return g_at
 
@@ -455,12 +440,21 @@ def _fd_jacobian(gfun, coords, h, richardson):
                      for K in range(len(coords))])
 
 
-def christoffels_fd(chart: ConeChart, h=1e-5, richardson=True) -> np.ndarray:
-    """FD Christoffels of the metric field: Gamma^k_ij = g^(k lbar) d_i g_(j lbar)."""
+def _fd_ddbar(f, coords, h, richardson):
+    """FD matrix of d_K dbar_L f (K, L = 0..n) at coords."""
+    m = len(coords)
+    return np.array([[fd_mixed_wirtinger(_moved(f, coords, K, L), 0.0, 0.0, h,
+                                         richardson)
+                      for L in range(m)] for K in range(m)])
+
+
+def christoffels_fd(chart: ConeChart, h=1e-5) -> np.ndarray:
+    """FD Christoffels of the metric field, Richardson-extrapolated:
+    Gamma^k_ij = g^(k lbar) d_i g_(j lbar)."""
     gfun = metric_field(chart)
     coords = list(chart.z) + [chart.xi]
     ginv = np.linalg.inv(gfun(chart.z, chart.xi))
-    dg = _fd_jacobian(gfun, coords, h, richardson)
+    dg = _fd_jacobian(gfun, coords, h, True)
     return np.einsum("lk,ijl->kij", ginv, dg)
 
 
@@ -528,22 +522,13 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
 
         # base Hessian of log a (exact), for the target Ricci
         a_jet = potential.jet(z0, 2)
-        base_hess = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                e = [0] * (2 * n)
-                e[i] += 1
-                e[n + j] += 1
-                base_hess[i, j] = a_jet.partial(e)
         a0 = a_jet.value().real
-        loga_hess = base_hess / a0
+        loga_hess = np.array([[a_jet.wirtinger((i,), (j,)) for j in range(n)]
+                              for i in range(n)], dtype=complex) / a0
         for i in range(n):
             for j in range(n):
-                e1 = [0] * (2 * n)
-                e1[i] = 1
-                e2 = [0] * (2 * n)
-                e2[n + j] = 1
-                loga_hess[i, j] -= (a_jet.partial(e1) * a_jet.partial(e2)) / a0 ** 2
+                loga_hess[i, j] -= (a_jet.wirtinger((i,)) *
+                                    a_jet.wirtinger((), (j,))) / a0 ** 2
 
         degenerate_base = np.max(np.abs(loga_hess)) < 1e-14
 
@@ -555,13 +540,7 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
                 return cmath.log(gfun(z, xi)[0, 0])
 
             def field(hstep):
-                out = np.zeros((n + 1, n + 1), dtype=complex)
-                for K in range(n + 1):
-                    for L in range(n + 1):
-                        out[K, L] = fd_mixed_wirtinger(
-                            _moved(logf, coords, K, L), 0.0, 0.0, hstep,
-                            richardson)
-                return out
+                return _fd_ddbar(logf, coords, hstep, richardson)
             notes.append("base metric degenerate; checked pluriharmonicity "
                          "of log g_00")
         else:
@@ -613,9 +592,7 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
         if full_riemann:
             ginv = np.linalg.inv(gfun(z0, xi0))
             dg = _fd_jacobian(gfun, coords, h, richardson)
-            ddg = np.array([[fd_mixed_wirtinger(_moved(gfun, coords, K, L),
-                                                0.0, 0.0, h, richardson)
-                             for L in range(n + 1)] for K in range(n + 1)])
+            ddg = _fd_ddbar(gfun, coords, h, richardson)
             # R_ijkl = -d_k dbar_l g_ij + g^(q pbar) d_k g_iq conj(d_l g_jp)
             riem = -ddg.transpose(2, 3, 0, 1) + \
                 np.einsum("qp,kiq,ljp->ijkl", ginv, dg, dg.conj())
@@ -628,33 +605,25 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
 # normalized-chart generation and the normalizing helper
 
 
-def random_normalized_chart(rng, dimD=1, order=4) -> ConeChart:
+def random_normalized_chart(rng, dimD=1) -> ConeChart:
     """Random chart satisfying the normalization jet conditions exactly."""
     n = dimD
     nv = 2 * n
     a0 = 0.5 + 2.0 * rng.random()
-    coeffs = {(0,) * nv: complex(a0)}
+    coeffs = {wirtinger_exponent(nv): complex(a0)}
     for i in range(n):
-        e = [0] * nv
-        e[i] += 1
-        e[n + i] += 1
-        coeffs[tuple(e)] = complex(a0)
+        coeffs[wirtinger_exponent(nv, (i,), (i,))] = complex(a0)
     # free jets: (3,0), (4,0), (2,2), (3,1) plus conjugates
     def rnd():
         return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
     def add(e_h, e_a, c):
-        e = [0] * nv
-        for i in e_h:
-            e[i] += 1
-        for j in e_a:
-            e[n + j] += 1
-        ph, qh = tuple(e[:n]), tuple(e[n:])
+        e = wirtinger_exponent(nv, e_h, e_a)
         scale = 1.0
         for k in e:
             scale /= math.factorial(k)
-        coeffs[tuple(e)] = coeffs.get(tuple(e), 0.0) + c * scale
-        mirror = qh + ph
+        coeffs[e] = coeffs.get(e, 0.0) + c * scale
+        mirror = conjugate_exponent(e)
         coeffs[mirror] = coeffs.get(mirror, 0.0) + c.conjugate() * scale
     idx = list(range(n))
     for i in idx:
@@ -665,11 +634,9 @@ def random_normalized_chart(rng, dimD=1, order=4) -> ConeChart:
                     add((i, j, k), (l,), rnd())      # (3,1) + (1,3)
                     add((i, j), (k, l), 0.5 * rnd())  # (2,2), symmetrized below
     # re-symmetrize the (2,2) block for real-valuedness
-    sym = {}
-    for e, c in coeffs.items():
-        mirror = tuple(e[n:]) + tuple(e[:n])
-        sym[e] = 0.5 * (c + coeffs.get(mirror, 0.0).conjugate())
-    jet = Jet(nv, order, sym)
+    sym = {e: 0.5 * (c + coeffs.get(conjugate_exponent(e), 0.0).conjugate())
+           for e, c in coeffs.items()}
+    jet = Jet(nv, CHART_ORDER, sym)
     xi = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.8, 0.8))
     delta = Fraction(rng.randrange(1, 5), rng.randrange(1, 4))
     return ConeChart(delta, n, (0.0,) * n, xi, JetPotential(n, jet))
@@ -683,7 +650,7 @@ class FrameChange:
     base_quadratic: np.ndarray   # Q[i, j, k] with z_i += Q_ijk z'_j z'_k / 2
 
 
-def normalize_chart(chart: ConeChart, order=4):
+def normalize_chart(chart: ConeChart):
     """Bring an arbitrary chart to normalized form at its point.
 
     Kills d a and the (2,0) Hessian by a holomorphic fiber gauge, makes
@@ -692,94 +659,54 @@ def normalize_chart(chart: ConeChart, order=4):
     omega_D).  Returns (normalized chart, FrameChange)."""
     n = chart.dimD
     nv = 2 * n
+    order = CHART_ORDER
     jet = chart.potential.jet(chart.z, order)
     a0 = jet.value().real
     if a0 <= 0:
         raise NotNormalizedChart("potential must be positive")
     logj = jet.log()
 
-    def P(e_h, e_a):
-        e = [0] * nv
-        for i in e_h:
-            e[i] += 1
-        for j in e_a:
-            e[n + j] += 1
-        return logj.partial(e)
-
-    c1 = np.array([P((i,), ()) for i in range(n)])
-    c2 = np.array([[P((i, j), ()) for j in range(n)] for i in range(n)])
+    c1 = np.array([logj.wirtinger((i,)) for i in range(n)])
+    c2 = np.array([[logj.wirtinger((i, j)) for j in range(n)]
+                   for i in range(n)])
     # gauge: log a' = log a - 2 Re(phi), phi = sum c1 z + 1/2 sum c2 z z
     phi_terms = {}
     for i in range(n):
-        e = [0] * nv
-        e[i] = 1
-        phi_terms[tuple(e)] = c1[i]
+        phi_terms[wirtinger_exponent(nv, (i,))] = c1[i]
         for j in range(n):
-            e2 = [0] * nv
-            e2[i] += 1
-            e2[j] += 1
-            phi_terms[tuple(e2)] = phi_terms.get(tuple(e2), 0.0) + 0.5 * c2[i, j]
+            e = wirtinger_exponent(nv, (i, j))
+            phi_terms[e] = phi_terms.get(e, 0.0) + 0.5 * c2[i, j]
     phi = Jet(nv, order, phi_terms)
-    phibar = Jet(nv, order, {tuple(e[n:]) + tuple(e[:n]): c.conjugate()
-                             for e, c in phi.coeffs.items()})
-    logj = logj - phi - phibar
+    logj = logj - phi - phi.conjugate()
     # linear base change: H = ddbar log a -> a0 * I
-    H = np.array([[logj.partial(tuple((1 if k == i else 0) for k in range(n))
-                                + tuple((1 if k == j else 0) for k in range(n)))
-                   for j in range(n)] for i in range(n)])
+    H = np.array([[logj.wirtinger((i,), (j,)) for j in range(n)]
+                  for i in range(n)])
     w, U = np.linalg.eigh(H)
     if np.any(w <= 0):
         raise NotNormalizedChart("base form i ddbar log a is not positive")
     B = U @ np.diag(1.0 / np.sqrt(w))
     mapping = {}
     for i in range(n):
-        zi = Jet.constant(nv, order, 0.0)
-        for j in range(n):
-            zi = zi + Jet.variable(nv, order, j) * B[i, j]
-        mapping[i] = zi
-        zib = Jet.constant(nv, order, 0.0)
-        for j in range(n):
-            zib = zib + Jet.variable(nv, order, n + j) * B[i, j].conjugate()
-        mapping[n + i] = zib
+        mapping[i] = Jet(nv, order, {wirtinger_exponent(nv, (j,)): B[i, j]
+                                     for j in range(n)})
+        mapping[n + i] = mapping[i].conjugate()
     logj = logj.subst(mapping)
-    # quadratic base change killing the (2,1) jets: z_i += 1/2 Q_ijk z_j z_k
-    T21 = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                e = [0] * nv
-                e[i] += 1
-                e[j] += 1
-                e[n + k] += 1
-                T21[i, j, k] = logj.partial(e)
-    # after the linear step, ddbar log a = I; Gamma_ij^k = T21[i,j,k]
-    Q = T21
+    # quadratic base change killing the (2,1) jets: z_i += 1/2 Q_ijk z_j z_k;
+    # after the linear step, ddbar log a = I and Gamma_ij^k = Q[i, j, k]
+    Q = np.array([[[logj.wirtinger((i, j), (k,)) for k in range(n)]
+                   for j in range(n)] for i in range(n)], dtype=complex)
     mapping2 = {}
     for i in range(n):
-        zi = Jet.variable(nv, order, i)
-        zib = Jet.variable(nv, order, n + i)
+        terms = {wirtinger_exponent(nv, (i,)): 1.0}
         for j in range(n):
             for k in range(n):
-                zi = zi + Jet.variable(nv, order, j) * Jet.variable(nv, order, k) \
-                    * (-0.5 * Q[j, k, i])
-                zib = zib + Jet.variable(nv, order, n + j) * \
-                    Jet.variable(nv, order, n + k) * (-0.5 * Q[j, k, i].conjugate())
-        mapping2[i] = zi
-        mapping2[n + i] = zib
+                e = wirtinger_exponent(nv, (j, k))
+                terms[e] = terms.get(e, 0.0) - 0.5 * Q[j, k, i]
+        mapping2[i] = Jet(nv, order, terms)
+        mapping2[n + i] = mapping2[i].conjugate()
     logj = logj.subst(mapping2)
     # rescale so a(0) stays the original value
     newo = logj + Jet.constant(nv, order, math.log(a0) - logj.value().real)
-    a_new = _exp_jet(newo)
     out = ConeChart(chart.delta, n, (0.0,) * n, chart.xi,
-                    JetPotential(n, a_new))
+                    JetPotential(n, newo.exp()))
     return out, FrameChange(c1, c2, B, Q)
-
-
-def _exp_jet(j: Jet) -> Jet:
-    c0, u = j._split_lead()
-    out = Jet.constant(j.nvars, j.order, 1.0)
-    term = Jet.constant(j.nvars, j.order, 1.0)
-    for k in range(1, j.order + 1):
-        term = term * u * (1.0 / k)
-        out = out + term
-    return out * cmath.exp(complex(c0))

@@ -130,12 +130,6 @@ class DiskField:
     def from_function(grid, fn, eta=0.0):
         return DiskField(grid, fn(grid.nodes()), eta)
 
-    def restricted(self, rings):
-        """Field on the outermost `rings` annuli (same R)."""
-        sub = DiskGrid(self.grid.R, rings, self.grid.angular,
-                       self.grid.radial, puncture=True, scheme=self.grid.scheme)
-        return DiskField(sub, self.values[:rings].copy(), self.eta)
-
     def measured_decay(self):
         """Log-log slope of the per-ring sup against the ring scale."""
         sups = np.max(np.abs(self.values), axis=(1, 2))
@@ -458,14 +452,14 @@ class NormReport:
     per_ring: list
 
 
-def weighted_norms(f: DiskField, p: HolderParams, rings=None) -> NormReport:
+def weighted_norms(f: DiskField, p: HolderParams) -> NormReport:
     """Scaling-weighted C^{1,alpha}_nu norm via per-annulus seminorms.
 
     [w]_{1,alpha,s} = sup|w| + s sup|Dw| + s^a Hol_a(w) + s^(1+a) Hol_a(Dw)
-    on A(s,2s); the norm is sup_s s^(-nu) [w]_{1,alpha,s}.  Pairs for the
-    Hoelder quotients stay within one annulus (comparable radii only)."""
+    on each annulus A(s,2s) of the grid (the center piece is left out); the
+    norm is sup_s s^(-nu) [w]_{1,alpha,s}.  Pairs for the Hoelder quotients
+    stay within one annulus (comparable radii only)."""
     grid = f.grid
-    K = rings if rings is not None else grid.rings
     V = f.values
     dz, dzb = _ring_derivatives(grid, V)
     nodes = grid.nodes()
@@ -473,7 +467,7 @@ def weighted_norms(f: DiskField, p: HolderParams, rings=None) -> NormReport:
     per_ring = []
     parts = np.zeros(4)
     total = 0.0
-    for k in range(K):
+    for k in range(grid.rings):
         s = grid.bounds[k][0]
         w = V[k].ravel()
         d1 = np.maximum(np.abs(dz[k]), np.abs(dzb[k])).ravel()
@@ -570,16 +564,16 @@ class BeltramiSolution:
     grid: DiskGrid
     g_final: DiskField
 
-    def z_at(self, pts):
-        return np.asarray(pts, dtype=complex) + transform_at(self.g_final, pts)
-
 
 CONTRACTION_THRESHOLD = 0.25
+MAX_ITERATIONS = 40
+# Steps of the residual's central differences, relative to |zeta|.
+RESIDUAL_FD_SCALE = 5e-3
 
 
 def solve_beltrami(model: PerturbationModel, p: HolderParams, R, tol=1e-10,
-                   max_iter=40, rings=8, angular=64, radial=10,
-                   extra_rings=8, verify=True) -> BeltramiSolution:
+                   rings=8, angular=64, radial=10,
+                   extra_rings=8) -> BeltramiSolution:
     """Fixed-point iteration for dz/dzbar + a(z) dzbar/dzbar = 0, z = zeta + zfrak,
 
         zfrak_{m+1} = Ttilde( -a(zeta + zfrak_m) (1 + conj(d zfrak_m)) ),
@@ -591,7 +585,8 @@ def solve_beltrami(model: PerturbationModel, p: HolderParams, R, tol=1e-10,
     (1.5e-5 at the default 8; for a constant model c the shift is
     |c| rho_h^2 / |zeta|, rho_h the hole radius), so the iteration converges
     to the truncated problem.  Refuses to iterate when the probed ||J[0]||
-    exceeds the contraction threshold 1/4."""
+    exceeds the contraction threshold 1/4.  Stops after MAX_ITERATIONS;
+    the residual is measured by beltrami_residual."""
     if model.eta > 0 and not p.nu < model.eta:
         raise ValueError("the weight nu must lie strictly below eta")
     grid = DiskGrid(R, rings + extra_rings, angular, radial, puncture=True)
@@ -616,7 +611,7 @@ def solve_beltrami(model: PerturbationModel, p: HolderParams, R, tol=1e-10,
     prev_inc = None
     bad = 0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         gv = -model.a(zeta + zf) * (1.0 + np.conj(dzf))
         g = DiskField(grid, gv, model.eta)
         zf_new, dzf_new = transform_with_derivative(g)
@@ -639,17 +634,15 @@ def solve_beltrami(model: PerturbationModel, p: HolderParams, R, tol=1e-10,
                         model.eta)
     sol_field = DiskField(decl, zf[:rings], model.eta + 1)
     norm = weighted_norms(sol_field, pw).total
-    residual = float("nan")
-    if verify:
-        residual = beltrami_residual(model, g_final, R, rings, angular, radial)
+    residual = beltrami_residual(model, g_final, R, rings, angular, radial)
     return BeltramiSolution(sol_field, it, increments, residual, norm,
                             grid, g_final)
 
 
-def beltrami_residual(model, g_final: DiskField, R, rings, angular, radial,
-                      fd_scale=5e-3):
+def beltrami_residual(model, g_final: DiskField, R, rings, angular, radial):
     """sup |dbar z + a(z) conj(dz)| on an independent, finer grid, with
-    central-difference Wirtinger derivatives at steps fd_scale * |zeta|."""
+    central-difference Wirtinger derivatives at steps
+    RESIDUAL_FD_SCALE * |zeta|."""
     vgrid = DiskGrid(R * 0.98, rings, 2 * angular, radial + 2, puncture=True)
     pts = vgrid.nodes().ravel()
     center = {}
@@ -660,7 +653,7 @@ def beltrami_residual(model, g_final: DiskField, R, rings, angular, radial,
         center["zfrak"] = vals[:pts.size]
         return vals[pts.size:]
 
-    dz, dzb = fd.wirtinger(zfrak, pts, fd_scale * np.abs(pts),
+    dz, dzb = fd.wirtinger(zfrak, pts, RESIDUAL_FD_SCALE * np.abs(pts),
                            richardson=False)
     z = pts + center["zfrak"]
     res = dzb + model.a(z) * (1.0 + np.conj(dz))
@@ -749,16 +742,17 @@ class IdentityReport:
     resolution: int
 
 
-def dbar_identity_defect(field_fn, R=0.5, level=0, base_rings=5,
-                         base_angular=16, base_radial=6, probes=160):
-    """sup FD defect of dbar(Ttilde f) = f on the punctured disk.
+def dbar_identity_defect(field_fn, level=0):
+    """sup FD defect of dbar(Ttilde f) = f on the punctured disk of radius
+    0.5, at 160 fixed probe points.
 
-    The mesh refines jointly with the level (angles double, radial nodes
-    and rings grow, halving the truncation hole) and the FD step halves,
-    so the defect at the fixed probe points is dominated by the h^2
-    truncation of the difference stencil."""
-    grid = DiskGrid(R, base_rings + level, base_angular * 2 ** level,
-                    base_radial + 2 * level, puncture=True)
+    The mesh refines jointly with the level (angles double from 16, radial
+    nodes grow from 6 and rings from 5, halving the truncation hole) and
+    the FD step halves, so the defect at the fixed probe points is
+    dominated by the h^2 truncation of the difference stencil."""
+    R, base_rings, probes = 0.5, 5, 160
+    grid = DiskGrid(R, base_rings + level, 16 * 2 ** level, 6 + 2 * level,
+                    puncture=True)
     F = DiskField.from_function(grid, field_fn, 0.0)
     # fixed probe cloud, independent of the grid nodes and of the level
     m = np.arange(probes)
@@ -772,18 +766,19 @@ def dbar_identity_defect(field_fn, R=0.5, level=0, base_rings=5,
     return float(np.abs(dbar - field_fn(pts)).max())
 
 
-def operator_identities_2var(resolution=32, R=0.8, fields=None,
-                             rings1=4, radial1=6, rings2=3,
-                             radial2=6) -> IdentityReport:
+def operator_identities_2var(resolution=32, fields=None) -> IdentityReport:
     """Checks dbar_1 Ttilde^1 f = f, dbar_2 T^2 f = f and the commutation
-    dbar_2 Ttilde^1 f = Ttilde^1 dbar_2 f on a 2-variable polydisk grid.
+    dbar_2 Ttilde^1 f = Ttilde^1 dbar_2 f on a 2-variable polydisk grid of
+    radius 0.8: 4 punctured rings in z1, 3 rings and a center disk in z2,
+    6 radial nodes each.
 
     Fields are callables f(z1, z2); derivatives of transformed fields use
     mesh-scaled central differences (the h^2 truncation dominates), and
     the sup in the punctured variable excludes the innermost ring, which
     abuts the truncation hole."""
-    grid1 = DiskGrid(R, rings1, resolution, radial1, puncture=True)
-    grid2 = DiskGrid(R, rings2, resolution, radial2, puncture=False)
+    R = 0.8
+    grid1 = DiskGrid(R, 4, resolution, 6, puncture=True)
+    grid2 = DiskGrid(R, 3, resolution, 6, puncture=False)
     if fields is None:
         fields = _default_2var_fields(R)
     z1 = grid1.nodes()

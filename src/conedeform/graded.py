@@ -357,19 +357,23 @@ def _weight_once(cone, pert):
     return FirstOrderVanishes()
 
 
+# Instantiations compared by deformation_weight, the given one included.
+WEIGHT_SAMPLES = 3
+
+
 def deformation_weight(cone: ConeSingularity, pert: Perturbation, *,
-                       seed: int = 0, samples: int = 3) -> WeightResult:
+                       seed: int = 0) -> WeightResult:
     """Weight of the first nonvanishing class of a perturbation family.
 
     Genericity of coefficients is modelled by re-instantiating every stored
-    coefficient with fresh random rationals on the same monomial support;
-    the given instance is reported, with a GenericityWarning attached when
-    the instantiations disagree.
+    coefficient with fresh random rationals on the same monomial support
+    (WEIGHT_SAMPLES - 1 times); the given instance is reported, with a
+    GenericityWarning attached when the instantiations disagree.
     """
     pert.validate_against(cone)
     rng = random.Random(seed)
     verdicts = [_weight_once(cone, pert)]
-    for _ in range(max(0, samples - 1)):
+    for _ in range(WEIGHT_SAMPLES - 1):
         verdicts.append(_weight_once(cone, _resample(pert, rng)))
     warn = any(v != verdicts[0] for v in verdicts[1:])
     notes = []

@@ -1,15 +1,39 @@
 """Truncated Taylor (Wirtinger-jet) arithmetic with complex coefficients.
 
 A Jet stores the Taylor coefficients of a smooth function in the shift
-variables around a point, truncated at a total order.  Variables come in
-holomorphic/antiholomorphic pairs but the arithmetic does not care; mixed
-partial derivatives are coefficients times factorials.  Used to evaluate
+variables around a point, truncated at a total order.  Mixed partial
+derivatives are coefficients times factorials.  Used to evaluate
 Calabi-ansatz metric data exactly (up to float rounding) at a point.
+
+Index convention: the nvars variables come in holomorphic/antiholomorphic
+pairs, variable i < nvars/2 is the holomorphic shift dw_i and variable
+nvars/2 + i its conjugate dwbar_i.  wirtinger_exponent builds the exponent
+of d_hol dbar_anti in this layout, conjugate_exponent swaps the halves.
+The arithmetic itself does not depend on the convention.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+
+
+def wirtinger_exponent(nvars, hol=(), anti=()):
+    """Exponent of d_hol dbar_anti: one d/dw_i per i in hol, one d/dwbar_j
+    per j in anti (indices repeat for higher derivatives)."""
+    half = nvars // 2
+    e = [0] * nvars
+    for i in hol:
+        e[i] += 1
+    for j in anti:
+        e[half + j] += 1
+    return tuple(e)
+
+
+def conjugate_exponent(e):
+    """The exponent of the complex-conjugate monomial: halves swapped."""
+    half = len(e) // 2
+    return tuple(e[half:]) + tuple(e[:half])
 
 
 class Jet:
@@ -100,7 +124,6 @@ class Jet:
         if lead.imag == 0 and lead.real > 0:
             lead_pow = lead.real ** alpha
         else:
-            import cmath
             lead_pow = cmath.exp(alpha * cmath.log(lead))
         return out * lead_pow
 
@@ -111,7 +134,6 @@ class Jet:
         if lead.imag == 0 and lead.real > 0:
             base = math.log(lead.real)
         else:
-            import cmath
             base = cmath.log(lead)
         out = Jet.constant(self.nvars, self.order, base)
         term = Jet.constant(self.nvars, self.order, 1.0)
@@ -123,6 +145,22 @@ class Jet:
     def inverse(self):
         return self.power_real(-1.0)
 
+    def conjugate(self):
+        """Jet of the complex-conjugate function (see conjugate_exponent)."""
+        return Jet(self.nvars, self.order,
+                   {conjugate_exponent(e): c.conjugate()
+                    for e, c in self.coeffs.items()})
+
+    def exp(self):
+        """e^(c0 + u) = e^c0 (1 + u + u^2/2 + ...) via the power series."""
+        c0, u = self._split_lead()
+        out = Jet.constant(self.nvars, self.order, 1.0)
+        term = Jet.constant(self.nvars, self.order, 1.0)
+        for k in range(1, self.order + 1):
+            term = term * u * (1.0 / k)
+            out = out + term
+        return out * cmath.exp(complex(c0))
+
     def partial(self, exponents):
         """Mixed partial derivative value at the base point."""
         e = tuple(exponents)
@@ -131,6 +169,10 @@ class Jet:
         for k in e:
             scale *= math.factorial(k)
         return c * scale
+
+    def wirtinger(self, hol=(), anti=()):
+        """d_hol dbar_anti at the base point (see wirtinger_exponent)."""
+        return self.partial(wirtinger_exponent(self.nvars, hol, anti))
 
     def subst(self, mapping):
         """Substitute variable i by the jet mapping[i] (zero constant term

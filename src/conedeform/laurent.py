@@ -96,9 +96,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def scale_div(self, scalar):
-        return LaurentPoly({e: c / scalar for e, c in self.coeffs.items()})
-
     def __pow__(self, k: int):
         if k < 0:
             e, c = self.monomial_data()

@@ -194,7 +194,8 @@ def _sections(text, names, inline):
     """(line number, section, content) for each content line of a deck of
     '[name]' sections, name in `names` or `inline`.  Blank and '#' lines
     are skipped.  For a name in `inline`, the rest of the header line
-    '[name] rest' is a content line too."""
+    '[name] rest' is a content line too; any other header must end at
+    its ']'."""
     current = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -208,8 +209,12 @@ def _sections(text, names, inline):
             if current not in names and current not in inline:
                 raise ParseError(f"unknown section [{current}]", ln, 1)
             line = line[end + 1:].strip()
-            if not (line and current in inline):
+            if not line:
                 continue
+            if current not in inline:
+                raise ParseError(f"content after the [{current}] header; "
+                                 "put it on the next line", ln,
+                                 raw.rindex(line) + 1)
         elif current is None:
             raise ParseError("content before any section header", ln, 1)
         yield ln, current, line
@@ -303,14 +308,15 @@ def _parse_params(text, params, ln):
         key, val = chunk.split("=", 1)
         key = key.strip().lower()
         val = val.strip()
-        if key == "n":
-            params["n"] = int(val)
-        elif key == "alpha":
-            params["alpha"] = Fraction(val)
-        elif key == "compact":
+        if key == "compact":
             params["compact"] = val.lower() in ("1", "true", "yes")
-        else:
+            continue
+        if key not in ("n", "alpha"):
             raise ParseError(f"unknown parameter {key!r}", ln, 1)
+        try:
+            params[key] = int(val) if key == "n" else Fraction(val)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"invalid value {val!r} for {key}", ln, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -234,12 +234,6 @@ def count_monomials(nvars, d):
     return num // den
 
 
-def format_coeff(c):
-    if isinstance(c, GaussianRational):
-        return str(c)
-    return str(c)
-
-
 def format_poly(p: Polynomial, names=None) -> str:
     """Render in the input-file grammar, e.g. ``z1^3+1/2*z1*z2-z3^2``."""
     if p.is_zero():

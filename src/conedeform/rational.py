@@ -124,9 +124,6 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 

@@ -178,3 +178,16 @@ def test_metric_bad_input_is_input_error(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("input error:")
+
+
+@pytest.mark.parametrize("param", ["alpha=1/0", "n=x"])
+def test_bad_deck_param_is_input_error(capsys, tmp_path, param):
+    deck = tmp_path / "bad.deck"
+    deck.write_text("[defining]\nz1^3+z2^3+z3^3\n[perturbation]\nz1 ; e=1\n"
+                    f"[params] n=2 alpha=2 {param}\n")
+    code = main(["rate", "--input", str(deck)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert "at line 5" in captured.err

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,8 @@ import pytest
 
 from conedeform.cone_metric import (ConeChart, NotNormalizedChart,
                                     Potential, ROUNDOFF_C, TENSOR_TYPES,
-                                    TensorType, _fd_jacobian, _moved,
+                                    TensorType, _exponent, _fd_jacobian,
+                                    _moved,
                                     calabi_exponent, christoffels_fd,
                                     curvature_check, empirical_scaling_slope,
                                     fd_mixed_wirtinger,
@@ -17,7 +19,7 @@ from conedeform.cone_metric import (ConeChart, NotNormalizedChart,
                                     scaling_exponent, tensor_norm,
                                     tian_yau_exponent, basis_tensor,
                                     JetPotential)
-from conedeform.jets import Jet
+from conedeform.jets import Jet, conjugate_exponent, wirtinger_exponent
 
 
 def test_calabi_exponent_values():
@@ -231,6 +233,72 @@ def test_jet_arithmetic():
     inv = j.inverse()
     assert (inv * j).value() == pytest.approx(1.0)
     assert abs((inv * j).partial((1, 1))) < 1e-14
+
+
+def test_wirtinger_exponent_layouts():
+    # base layout (dz1, dz2, dzbar1, dzbar2)
+    assert wirtinger_exponent(4) == (0, 0, 0, 0)
+    assert wirtinger_exponent(4, (0, 1, 1), (0,)) == (1, 2, 1, 0)
+    assert wirtinger_exponent(4, (), (1, 1)) == (0, 0, 0, 2)
+    # lifted layout (dz1, dz2, dxi, dzbar1, dzbar2, dxibar): fiber slot n
+    assert wirtinger_exponent(6, (2,), (2,)) == (0, 0, 1, 0, 0, 1)
+    assert _exponent(2, (0, 1), (2,)) == (1, 0, 1, 0, 1, 0)
+    assert _exponent(1, (0,), (0, 1)) == (0, 1, 1, 1)
+    for e in [(1, 2, 3, 4), (0, 0, 1, 0, 2, 5)]:
+        assert conjugate_exponent(e) == e[len(e) // 2:] + e[:len(e) // 2]
+        assert conjugate_exponent(conjugate_exponent(e)) == e
+    assert conjugate_exponent(wirtinger_exponent(6, (0, 2), (1,))) == \
+        wirtinger_exponent(6, (1,), (0, 2))
+
+
+def test_jet_wirtinger_partials():
+    # base layout: 2 dz1 dzbar2 + 3 dz1^2 dzbar2 + (1+i) dz2^2
+    j = Jet(4, 3, {(1, 0, 0, 1): 2.0, (2, 0, 0, 1): 3.0, (0, 2, 0, 0): 1 + 1j})
+    assert j.wirtinger((0,), (1,)) == 2.0
+    assert j.wirtinger((0, 0), (1,)) == 6.0          # 3 * 2!
+    assert j.wirtinger((1, 1)) == 2 + 2j
+    assert j.wirtinger((1,), (0,)) == 0.0
+    bar = j.conjugate()
+    assert bar.wirtinger((1,), (0,)) == 2.0
+    assert bar.wirtinger((), (1, 1)) == 2 - 2j
+    # lifted layout: 5 dz1 dxibar + dxi dxibar at n = 1
+    lj = Jet(4, 2, {_exponent(1, (1,), (0,)): 5.0,
+                    _exponent(1, (0,), (0,)): 1.0})
+    assert lj.coeffs == {(1, 0, 0, 1): 5.0, (0, 1, 0, 1): 1.0}
+    assert lj.wirtinger((0,), (1,)) == 5.0
+    assert lj.wirtinger((1,), (1,)) == 1.0
+
+
+def test_jet_exp_series():
+    c0 = 0.3 - 0.7j
+    # exp(c0 + dw + 2 dwbar) = e^c0 sum (dw)^p (2 dwbar)^q / (p! q!)
+    j = Jet(2, 5, {(0, 0): c0, (1, 0): 1.0, (0, 1): 2.0}).exp()
+    assert j.order == 5
+    for p in range(6):
+        for q in range(6 - p):
+            want = cmath.exp(c0) * 2 ** q / (math.factorial(p) *
+                                             math.factorial(q))
+            assert abs(j.coeffs.get((p, q), 0.0) - want) < 1e-14
+    lg = Jet(2, 4, {(0, 0): 2.0, (1, 1): 0.5, (2, 0): 0.25 + 0.1j})
+    back = lg.log().exp()
+    for e, c in lg.coeffs.items():
+        assert abs(back.coeffs[e] - c) < 1e-14
+
+
+def test_jet_potential_truncates_to_order():
+    pot = fubini_study_potential(2)
+    jp = JetPotential(2, pot.jet((0.0, 0.0), 4))
+    for z in [(0.0, 0.0), (0.05 + 0.02j, -0.03j)]:
+        full = pot.jet(z, 4)
+        for k in range(5):
+            jk = jp.jet(z, k)
+            assert jk.order == k
+            assert all(sum(e) <= k for e in jk.coeffs)
+            for e, c in full.coeffs.items():
+                if sum(e) <= k:
+                    assert abs(jk.coeffs.get(e, 0.0) - c) < 1e-14
+    with pytest.raises(ValueError, match="order 5"):
+        jp.jet((0.0, 0.0), 5)
 
 
 def test_curvature_convergence_diagnostic():

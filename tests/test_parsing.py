@@ -526,3 +526,37 @@ def test_potential_index_above_dimd_is_an_error():
         with pytest.raises(ParseError, match="exceeds dimD"):
             parse_potential(text, 1)
     assert parse_potential("1+|z2|^2").dimD == 2
+
+
+@pytest.mark.parametrize("param, value", [("alpha", "1/0"), ("alpha", "x"),
+                                          ("n", "x"), ("n", "3/2")])
+def test_bad_params_value_is_a_parse_error(param, value):
+    deck = f"[defining]\nz1^2+z2^2\n[params] n=2 alpha=3/2 {param}={value}\n"
+    with pytest.raises(ParseError, match=f"invalid value '{value}'") as exc:
+        parse_cone_deck(deck)
+    assert exc.value.line == 3
+
+
+def test_cone_deck_header_content_is_an_error():
+    deck = "[defining] z1^3\nz1^2+z2^2\n[perturbation] z1 ; e=1\n"
+    with pytest.raises(ParseError, match="after the \\[defining\\] header") \
+            as exc:
+        parse_cone_deck(deck)
+    assert (exc.value.line, exc.value.column) == (1, 12)
+    with pytest.raises(ParseError, match="\\[perturbation\\] header") as exc:
+        parse_cone_deck("[defining]\nz1^2+z2^2\n  [perturbation]  z1\n")
+    assert (exc.value.line, exc.value.column) == (3, 19)
+    # [params] keeps its inline content
+    assert parse_cone_deck("[defining]\nz1^2+z2^2\n[params] n=2\n").n == 2
+
+
+def test_transition_deck_header_content_is_an_error():
+    with pytest.raises(ParseError, match="\\[y-series\\] header") as exc:
+        parse_transition_deck("[y-series] a1: z^-2\n")
+    assert exc.value.line == 1
+    with pytest.raises(ParseError, match="\\[z-series\\] header") as exc:
+        parse_transition_deck("[y-series]\na1: z^-2\n[z-series] a1: z^-3\n")
+    assert exc.value.line == 3
+    # [normal-degree] keeps its inline content
+    t = parse_transition_deck("[y-series]\na1: z^-2\n[normal-degree] d=2\n")
+    assert t.normal_degree == 2
