@@ -82,13 +82,19 @@ def _is_param_poly(c):
     return isinstance(c, Polynomial)
 
 
+def _base_value(c) -> GaussianRational:
+    """Q(i) value of a coefficient (plain or parameter-poly) with every
+    lifting parameter at 0."""
+    if _is_param_poly(c):
+        c = c.constant_term()
+    return GaussianRational.coerce(c)
+
+
 def _const_of(c):
     """Scalar value of a constant coefficient (plain or parameter-poly)."""
-    if _is_param_poly(c):
-        if c.degree() > 0:
-            raise ValueError("coefficient depends on lifting parameters")
-        return GaussianRational.coerce(c.constant_term() if not c.is_zero() else 0)
-    return GaussianRational.coerce(c)
+    if _is_param_poly(c) and c.degree() > 0:
+        raise ValueError("coefficient depends on lifting parameters")
+    return _base_value(c)
 
 
 class TruncatedTransition:
@@ -160,13 +166,7 @@ def lift_params(t: TruncatedTransition) -> TruncatedTransition:
 
 def unlift_params(t: TruncatedTransition) -> TruncatedTransition:
     """Strip constant parameter polynomials back to Q(i) scalars."""
-    def down(c):
-        if _is_param_poly(c):
-            if c.degree() > 0:
-                raise ValueError("free parameters remain")
-            return GaussianRational.coerce(c.constant_term() if not c.is_zero() else 0)
-        return c
-    return t.map_coeffs(down)
+    return t.map_coeffs(_const_of)
 
 
 def _poly_str(p) -> str:
@@ -215,10 +215,7 @@ def splitting_obstruction(t: TruncatedTransition, k: int) -> ObstructionClass:
     if k > t.order:
         raise TruncationExhaustedError(
             f"series truncated at order {t.order}, cannot see order {k}")
-    for a in range(1, k):
-        if not t.phi(a).is_zero():
-            raise NotNormalizedError(
-                f"base series has a nonzero order-{a} term below {k}")
+    _check_normalized(t, k, 0)
     window = CoboundaryWindow(2 - k * t.normal_degree)
     cocycle = f"({t.phi(k).to_string(coeff_str=_poly_str)})*[y^{k}] d/dz2"
     return ObstructionClass("splitting", k, window,
@@ -323,28 +320,32 @@ def _kernel_basis_z(t, k):
     return out
 
 
-def apply_z_step(t: TruncatedTransition, p: LaurentPoly, u: LaurentPoly,
-                 k: int) -> TruncatedTransition:
-    """New transition after z1 -> z1 + p(z1) y1^k and z2 -> z2 + u(z2) y2^k."""
-    K = t.order
-    Z, Y = invert_chart_map(p, LaurentPoly.zero(), k, K)
+def _change_charts(t, p, q, u, v, k) -> TruncatedTransition:
+    """New transition after the chart-1 change z1 -> z1 + p(z1) y1^k,
+    y1 -> y1 + q(z1) y1^(k+1), then the chart-2 change z2 -> z2 + u(z2) y2^k
+    followed by y2 -> y2 + v(z2) y2^(k+1)."""
+    Z, Y = invert_chart_map(p, q, k, t.order)
     y2 = t.series_y.substitute(Z, Y)
     z2 = t.series_z.substitute(Z, Y)
     if not u.is_zero():
         z2 = z2 + z2.compose_laurent(u) * (y2 ** k)
+    if not v.is_zero():
+        y2 = y2 + z2.compose_laurent(v) * (y2 ** (k + 1))
     return TruncatedTransition(y2, z2)
+
+
+def apply_z_step(t: TruncatedTransition, p: LaurentPoly, u: LaurentPoly,
+                 k: int) -> TruncatedTransition:
+    """New transition after z1 -> z1 + p(z1) y1^k and z2 -> z2 + u(z2) y2^k."""
+    zero = LaurentPoly.zero()
+    return _change_charts(t, p, zero, u, zero, k)
 
 
 def apply_y_step(t: TruncatedTransition, q: LaurentPoly, v: LaurentPoly,
                  k: int) -> TruncatedTransition:
     """New transition after y1 -> y1 + q(z1) y1^(k+1), y2 -> y2 + v(z2) y2^(k+1)."""
-    K = t.order
-    Z, Y = invert_chart_map(LaurentPoly.zero(), q, k, K)
-    y2 = t.series_y.substitute(Z, Y)
-    z2 = t.series_z.substitute(Z, Y)
-    if not v.is_zero():
-        y2 = y2 + z2.compose_laurent(v) * (y2 ** (k + 1))
-    return TruncatedTransition(y2, z2)
+    zero = LaurentPoly.zero()
+    return _change_charts(t, zero, q, zero, v, k)
 
 
 def invert_transition(t: TruncatedTransition) -> TruncatedTransition:
@@ -362,28 +363,16 @@ def invert_transition(t: TruncatedTransition) -> TruncatedTransition:
     e1, c1coef = t.c(1).monomial_data()
     Y = YSeries(K, [LaurentPoly.zero(),
                     LaurentPoly.monomial(-e1, _inv_coeff(c1coef))])
+    # the series without their orders below 2 (normal) and 1 (base)
+    y_tail = YSeries(K, [LaurentPoly.zero()] * 2 + t.series_y.coeffs[2:])
+    z_tail = YSeries(K, [LaurentPoly.zero()] + t.series_z.coeffs[1:])
     for _ in range(K + 1):
         # y1 = (y2 - sum_{a>=2} c_a(z1) y1^a) / c1(z1)
-        tail = YSeries.zero(K)
-        ypow = Y * Y
-        for a in range(2, K + 1):
-            ca = t.c(a)
-            if not ca.is_zero():
-                tail = tail + Z.compose_laurent(ca) * ypow
-            if a < K:
-                ypow = ypow * Y
         c1_at = Z.compose_laurent(t.c(1))
-        Yn = (YSeries.identity_y(K) - tail) * c1_at.inverse()
+        Yn = (YSeries.identity_y(K) - y_tail.substitute(Z, Y)) \
+            * c1_at.inverse()
         # z1 = gamma0 / (z2 - sum_{a>=1} phi_a(z1) y1^a)
-        ztail = YSeries.zero(K)
-        ypow = Yn
-        for a in range(1, K + 1):
-            pa = t.phi(a)
-            if not pa.is_zero():
-                ztail = ztail + Z.compose_laurent(pa) * ypow
-            if a < K:
-                ypow = ypow * Yn
-        base = YSeries.identity_z(K) - ztail
+        base = YSeries.identity_z(K) - z_tail.substitute(Z, Yn)
         Zn = base.inverse() * LaurentPoly.monomial(
             0, _coeff_like(g0, t.phi(0).monomial_data()[1]))
         if Zn == Z and Yn == Y:
@@ -449,27 +438,12 @@ class Locus:
     description: str = ""
 
 
-def _linear_data(p: Polynomial, used):
-    """(constant, coefficient list) of an affine parameter polynomial."""
-    const = GaussianRational.coerce(p.constant_term() if not p.is_zero() else 0)
-    coeffs = []
-    for i in used:
-        e = [0] * PARAM_BUDGET
-        e[i] = 1
-        coeffs.append(GaussianRational.coerce(p.coefficient(tuple(e))))
-    return const, coeffs
-
-
 def _univariate_roots(p: Polynomial, var: int):
     """Q(i)-roots of a parameter polynomial of degree <= 2 in one variable."""
     deg = p.degree()
-    c0 = GaussianRational.coerce(p.constant_term() if not p.is_zero() else 0)
-    e1 = [0] * PARAM_BUDGET
-    e1[var] = 1
-    c1 = GaussianRational.coerce(p.coefficient(tuple(e1)))
-    e2 = list(e1)
-    e2[var] = 2
-    c2 = GaussianRational.coerce(p.coefficient(tuple(e2)))
+    dp = p.derivative(var)
+    c0, c1 = _base_value(p), _base_value(dp)
+    c2 = _base_value(dp.derivative(var)) / 2
     if deg <= 0:
         return None if c0 != 0 else "all"
     if c2 == 0:
@@ -495,10 +469,8 @@ def vanishing_locus(vector, active) -> Locus:
     used = sorted(active)
     if all(p.degree() <= 1 for p in polys):
         # one elimination of the augmented system [coefficients | -constant]
-        aug = []
-        for p in polys:
-            const, coeffs = _linear_data(p, used)
-            aug.append(coeffs + [-const])
+        aug = [[_base_value(p.derivative(i)) for i in used] + [-_base_value(p)]
+               for p in polys]
         ech, pivots = linalg.row_echelon(aug)
         if len(used) in pivots:
             return Locus("empty", description="no common zero")
@@ -542,12 +514,9 @@ def vanishing_locus(vector, active) -> Locus:
                      description=" or ".join(_point_str(p) for p in pts))
     # nonlinear in several parameters: no exact solve; fall back to the
     # natural chain (all parameters zero) when it lies on the locus
-    zero = {i: Polynomial.zero(PARAM_BUDGET) for i in range(PARAM_BUDGET)}
-    full = [Polynomial.variable(PARAM_BUDGET, i) for i in range(PARAM_BUDGET)]
-    for i in used:
-        full[i] = Polynomial.zero(PARAM_BUDGET)
+    pt = {i: GaussianRational(0) for i in used}
+    full = _param_substitution(pt)
     if all(p.substitute(full).is_zero() for p in polys):
-        pt = {i: GaussianRational(0) for i in used}
         return Locus("points", points=[pt],
                      description="natural chain (all parameters 0); "
                                  "nonlinear locus only partially enumerated")
@@ -560,10 +529,16 @@ def _point_str(point: dict) -> str:
     return ", ".join(f"{PARAM_NAMES[i]} = {v}" for i, v in sorted(point.items()))
 
 
-def _substitute_state(t: TruncatedTransition, sub: dict) -> TruncatedTransition:
+def _param_substitution(sub: dict):
+    """Polynomial.substitute list: parameter i -> sub[i], the rest kept."""
     full = [Polynomial.variable(PARAM_BUDGET, i) for i in range(PARAM_BUDGET)]
     for i, val in sub.items():
         full[i] = _lift_coeff(val)
+    return full
+
+
+def _substitute_state(t: TruncatedTransition, sub: dict) -> TruncatedTransition:
+    full = _param_substitution(sub)
     return t.map_coeffs(lambda c: c.substitute(full))
 
 
@@ -582,12 +557,7 @@ class LedgerEntry:
     cocycle: str
 
     def nonzero_at_base(self):
-        for c in self.class_vector:
-            p = _lift_coeff(c)
-            base = p.constant_term() if not p.is_zero() else 0
-            if base != 0:
-                return True
-        return False
+        return any(_base_value(c) != 0 for c in self.class_vector)
 
 
 @dataclass

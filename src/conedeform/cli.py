@@ -15,14 +15,11 @@ from .cone_metric import (ConeChart, NotNormalizedChart, TENSOR_TYPES,
                           scaling_exponent)
 from .dbar import (ContractionFailure, HolderParams, PerturbationModel,
                    PreconditionFailure, QuadratureDivergence, solve_beltrami)
-from .graded import (FirstOrderVanishes, RateInput, deformation_weight,
+from .graded import (NORMALITY_NOTE, RateInput, deformation_weight,
                      predicted_rate, t1_graded)
 from .parsing import (ParseError, parse_cone_deck, parse_potential,
                       parse_transition_deck)
 from .reports import Report, digest, fmt
-
-NORMALITY_NOTE = ("hypothesis (unchecked): the projectivized base is smooth "
-                  "and projectively normal")
 
 ENV_DEFAULTS = {
     "CONEDEFORM_DBAR_TOL": ("dbar --tol default", "1e-10"),
@@ -142,6 +139,12 @@ def _load_deck(args, examples, parse, default=None):
     return parse(text), text, f"example:{name}"
 
 
+def _input_digest(*settings):
+    """Digest of a report's input: the deck text or the values of the
+    options, and every further setting that changes the report."""
+    return digest("|".join(str(s) for s in settings))
+
+
 def _emit(report: Report, args):
     text = report.render(args.format)
     if args.output:
@@ -157,7 +160,7 @@ def _emit(report: Report, args):
 
 def cmd_t1(args):
     deck, text, label = _load_deck(args, EXAMPLE_DECKS, parse_cone_deck)
-    rep = Report("t1", args.seed, digest(text))
+    rep = Report("t1", args.seed, _input_digest(text, args.jmin, args.jmax))
     sec = rep.section("input")
     sec.add("source", label)
     sec.add("ambient dim", deck.cone.ambient_dim)
@@ -178,7 +181,7 @@ def cmd_weight(args):
     deck, text, label = _load_deck(args, EXAMPLE_DECKS, parse_cone_deck)
     if deck.perturbation is None:
         raise ParseError("the deck has no [perturbation] section")
-    rep = Report("weight", args.seed, digest(text))
+    rep = Report("weight", args.seed, _input_digest(text))
     res = deformation_weight(deck.cone, deck.perturbation, seed=args.seed)
     sec = rep.section("deformation weight")
     sec.add("source", label)
@@ -200,7 +203,7 @@ def cmd_rate(args):
         if deck.perturbation is None or deck.n is None or deck.alpha is None:
             raise ParseError("rate needs [perturbation] and [params] "
                              "n=<int> alpha=<p/q>")
-        rep = Report("rate", args.seed, digest(text))
+        rep = Report("rate", args.seed, _input_digest(text))
         res = deformation_weight(deck.cone, deck.perturbation, seed=args.seed)
         sec = rep.section("rate")
         sec.add("source", label)
@@ -224,8 +227,8 @@ def cmd_rate(args):
         return 0
     if args.n is None or args.alpha is None or args.abs_weight is None:
         raise ParseError("provide a deck or --n --alpha --abs-weight")
-    rep = Report("rate", args.seed,
-                 digest(f"{args.n}:{args.alpha}:{args.abs_weight}"))
+    rep = Report("rate", args.seed, _input_digest(
+        args.n, args.alpha, args.abs_weight, args.compact))
     rate = predicted_rate(RateInput(args.n, Fraction(args.alpha),
                                     args.abs_weight, args.compact))
     sec = rep.section("rate")
@@ -243,8 +246,8 @@ def cmd_rate(args):
 def cmd_cech(args):
     t, text, label = _load_deck(args, TRANSITION_DECKS, parse_transition_deck,
                                 "p1p1-diagonal")
-    order = args.order or min(3, t.order - 1)
-    rep = Report("cech", args.seed, digest(text))
+    order = min(3, t.order - 1) if args.order is None else args.order
+    rep = Report("cech", args.seed, _input_digest(text, order))
     res = normalize(t, order)
     sec = rep.section("embedding orders")
     sec.add("source", label)
@@ -290,8 +293,9 @@ def cmd_metric(args):
             raise ParseError(f"--sweep k0..k1 needs k1 > k0, got "
                              f"{args.sweep!r}")
     chart = ConeChart(delta, args.dimD, (0.0,) * args.dimD, xi, pot)
-    rep = Report("metric", args.seed, digest(
-        f"{args.potential}|{args.delta}|{args.dimD}|{args.xi}"))
+    h = _env("CONEDEFORM_FD_STEP", float)
+    rep = Report("metric", args.seed, _input_digest(
+        args.potential, args.delta, args.dimD, args.xi, args.sweep, h))
     m = metric_at(chart)
     sec = rep.section("closed formulas")
     sec.add("delta", delta)
@@ -302,7 +306,6 @@ def cmd_metric(args):
     sec.add("Gamma^0_00", m.christoffels[0, 0, 0])
     sec.add("|dz|", m.frame_norms["dz"])
     sec.add("|dxi|", m.frame_norms["dxi"])
-    h = _env("CONEDEFORM_FD_STEP", float)
     gfd = christoffels_fd(chart, h=h)
     sec.add("FD christoffel defect",
             float(abs(gfd - m.christoffels).max()))
@@ -324,9 +327,9 @@ def cmd_dbar(args):
         raise ParseError("--eta disagrees with the model's decay exponent")
     sol = solve_beltrami(model, p, args.R, tol=args.tol, rings=args.rings,
                          angular=args.angular)
-    rep = Report("dbar", args.seed, digest(
-        f"{args.model}|{args.R}|{args.nu}|{args.alpha}|{args.tol}|"
-        f"{args.rings}|{args.angular}"))
+    rep = Report("dbar", args.seed, _input_digest(
+        args.model, args.R, args.nu, args.alpha, args.tol, args.rings,
+        args.angular))
     sec = rep.section("beltrami solve")
     sec.add("model", args.model)
     sec.add("R", args.R)

@@ -64,8 +64,15 @@ class DiskGrid:
 
     def __init__(self, R, rings, angular, radial=8, puncture=True,
                  scheme="gauss"):
-        if angular % 2:
-            raise ValueError("angular count must be even")
+        if not (np.isfinite(R) and R > 0):
+            raise ValueError(f"disk radius R must be finite and positive, "
+                             f"got {R}")
+        if rings < 1 or radial < 1:
+            raise ValueError(f"a grid needs at least one ring and one radial "
+                             f"node, got rings={rings}, radial={radial}")
+        if angular < 1 or angular % 2:
+            raise ValueError(f"angular count must be positive and even, "
+                             f"got {angular}")
         self.R = float(R)
         self.rings = int(rings)
         self.angular = int(angular)
@@ -230,11 +237,16 @@ def _value_at_zero(grid, G):
 
 def _radial_coefficients(grid, G, rho):
     """coeff[u, n] with Tf(rho_u e^(i phi)) = sum_n coeff[u, n] e^(i(n-1)phi),
-    for distinct radii rho_u > 0.
+    for distinct radii rho_u > 0.  The FFT modes are exact only on the
+    equispaced angles 2 pi k / M of the gauss scheme.
 
     Rings wholly inside or outside rho_u enter through the ring integrals,
     accumulated ring to ring (ratio powers <= 1 only); the ring holding
     rho_u is split there by a Gauss sub-rule."""
+    if grid.scheme != "gauss":
+        raise ValueError(f"the angular-exact transform needs the angles "
+                         f"2 pi k / M of the gauss scheme, not the "
+                         f"{grid.scheme} grid")
     plan = _plan(grid)
     K, M = grid.nrings, grid.angular
     J_in, J_out = _ring_integrals(grid, plan, G)
@@ -587,6 +599,8 @@ def solve_beltrami(model: PerturbationModel, p: HolderParams, R, tol=1e-10,
     to the truncated problem.  Refuses to iterate when the probed ||J[0]||
     exceeds the contraction threshold 1/4.  Stops after MAX_ITERATIONS;
     the residual is measured by beltrami_residual."""
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     if model.eta > 0 and not p.nu < model.eta:
         raise ValueError("the weight nu must lie strictly below eta")
     grid = DiskGrid(R, rings + extra_rings, angular, radial, puncture=True)

@@ -21,6 +21,11 @@ from . import linalg
 from .poly import Polynomial, monomials_of_degree
 
 
+# Assumed of every cone and carried by the reports that depend on it.
+NORMALITY_NOTE = ("hypothesis (unchecked): the projectivized base is smooth "
+                  "and projectively normal")
+
+
 class InhomogeneousGeneratorError(ValueError):
     pass
 
@@ -141,8 +146,10 @@ class _JacobianData:
         src = _degree_data(cone, j + 1) if j + 1 >= 0 else None
         self.targets = [_degree_data(cone, d + j) if d + j >= 0 else None
                         for _, d in cone.defining]
-        self.target_dims = [len(t.free) if t else 0 for t in self.targets]
-        self.total = sum(self.target_dims)
+        # (generator index, monomial) of each concatenated target coordinate
+        self.labels = [(i, t.monomials[m]) for i, t in enumerate(self.targets)
+                       if t is not None for m in t.free]
+        self.total = len(self.labels)
         self.columns = []
         if src is not None and self.total > 0:
             partials = [[f.derivative(l) for l in range(n)]
@@ -156,11 +163,7 @@ class _JacobianData:
                             continue
                         col.extend(t.reduce(mono * partials[i][l]))
                     self.columns.append(col)
-        if self.columns:
-            img = [list(col) for col in self.columns]
-            self.img_echelon, self.img_pivots = linalg.row_echelon(img)
-        else:
-            self.img_echelon, self.img_pivots = [], []
+        self.img_echelon, self.img_pivots = linalg.row_echelon(self.columns)
         self.rank = len(self.img_pivots)
         pivset = set(self.img_pivots)
         self.coker_coords = [i for i in range(self.total) if i not in pivset]
@@ -236,22 +239,11 @@ def t1_graded(cone: ConeSingularity, j_min: int, j_max: int) -> T1Report:
         data = _jacobian_data(cone, j)
         dim = data.total - data.rank
         basis = []
-        offsets = []
-        acc = 0
-        for td in data.target_dims:
-            offsets.append(acc)
-            acc += td
         for coord in data.coker_coords:
-            for i, (off, td) in enumerate(zip(offsets, data.target_dims)):
-                if off <= coord < off + td:
-                    tgt = data.targets[i]
-                    mono = Polynomial.monomial(
-                        cone.ambient_dim, tgt.monomials[tgt.free[coord - off]])
-                    tup = [Polynomial.zero(cone.ambient_dim)
-                           for _ in range(cone.codim)]
-                    tup[i] = mono
-                    basis.append(tuple(tup))
-                    break
+            i, mono = data.labels[coord]
+            tup = [Polynomial.zero(cone.ambient_dim) for _ in range(cone.codim)]
+            tup[i] = Polynomial.monomial(cone.ambient_dim, mono)
+            basis.append(tuple(tup))
         weights[j] = (dim, basis)
     nz = [j for j, (d, _) in weights.items() if d > 0]
     window = (min(nz), max(nz)) if nz else None
@@ -382,8 +374,7 @@ def deformation_weight(cone: ConeSingularity, pert: Perturbation, *,
     if warn:
         notes.append("GenericityWarning: random re-instantiations of the "
                      "perturbation disagree on the weight")
-    notes.append("hypothesis (unchecked): the projectivized base is smooth "
-                 "and projectively normal")
+    notes.append(NORMALITY_NOTE)
     return WeightResult(verdicts[0], verdicts, warn, notes)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .rational import power
+
 
 def _inv_coeff(c):
     """1/c for an invertible scalar; constant parameter polynomials allowed."""
@@ -100,14 +102,7 @@ class LaurentPoly:
         if k < 0:
             e, c = self.monomial_data()
             return LaurentPoly({-e: _inv_coeff(c)}) ** (-k)
-        out = LaurentPoly.monomial(0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, LaurentPoly.monomial(0))
 
     def shift(self, k):
         """Multiply by z^k."""
@@ -212,8 +207,6 @@ class YSeries:
                         continue
                     out[i + j] = out[i + j] + a * b
             return YSeries(self.order, out)
-        if isinstance(other, LaurentPoly):
-            return YSeries(self.order, [c * other for c in self.coeffs])
         return YSeries(self.order, [c * other for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -221,14 +214,7 @@ class YSeries:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = YSeries.const(self.order, LaurentPoly.monomial(0))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, YSeries.const(self.order, LaurentPoly.monomial(0)))
 
     def y_valuation(self):
         for i, c in enumerate(self.coeffs):
@@ -252,21 +238,26 @@ class YSeries:
         return out * inv_lead
 
     def compose_laurent(self, L: LaurentPoly):
-        """Evaluate a Laurent polynomial at this series."""
-        pos = {e: c for e, c in L.coeffs.items() if e > 0}
-        neg = {e: c for e, c in L.coeffs.items() if e < 0}
-        out = YSeries.const(self.order, LaurentPoly.monomial(0, L.coefficient(0))) \
-            if L.coefficient(0) != 0 else YSeries.zero(self.order)
-        if pos:
-            powers = {}
-            for e in sorted(pos):
-                powers[e] = self ** e
-            for e, c in pos.items():
-                out = out + powers[e] * LaurentPoly.monomial(0, c)
-        if neg:
-            inv = self.inverse()
-            for e in sorted(neg, reverse=True):
-                out = out + (inv ** (-e)) * LaurentPoly.monomial(0, neg[e])
+        """Evaluate a Laurent polynomial at this series.
+
+        One power ladder per sign of exponent: the inverse is formed once,
+        and each power of the series (or of its inverse) is the previous
+        one times the power of the gap between their exponents, which is
+        one factor when the exponents are consecutive."""
+        one = YSeries.const(self.order, LaurentPoly.monomial(0))
+        out = YSeries.const(self.order,
+                            LaurentPoly.monomial(0, L.coefficient(0)))
+        for sign in (1, -1):
+            exps = sorted(sign * e for e in L.coeffs if sign * e > 0)
+            if not exps:
+                continue
+            base = self if sign > 0 else self.inverse()
+            acc, prev = None, 0
+            for e in exps:
+                step = power(base, e - prev, one)
+                acc = step if acc is None else acc * step
+                prev = e
+                out = out + acc * LaurentPoly.monomial(0, L.coeffs[sign * e])
         return out
 
     def substitute(self, z_series: "YSeries", y_series: "YSeries"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .rational import GaussianRational
+from .rational import GaussianRational, power
 
 
 def _coeff(x):
@@ -130,14 +130,7 @@ class Polynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = Polynomial.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, Polynomial.constant(self.nvars, 1))
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):

@@ -11,6 +11,23 @@ import math
 from fractions import Fraction
 
 
+def power(base, k: int, one):
+    """base ** k for an int k >= 0 by square-and-multiply, in any ring.
+
+    `one` is the ring's 1 and is returned for k = 0; no product with it
+    is ever formed, and the last square is skipped."""
+    if k < 0:
+        raise ValueError("negative exponent")
+    out = None
+    while k:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return one if out is None else out
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -99,14 +116,7 @@ class GaussianRational:
     def __pow__(self, k: int):
         if k < 0:
             return GaussianRational(1) / self ** (-k)
-        out = GaussianRational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, GaussianRational(1))
 
     # -- comparisons / hashing --------------------------------------------
     def __eq__(self, other):

@@ -191,3 +191,60 @@ def test_bad_deck_param_is_input_error(capsys, tmp_path, param):
     assert captured.out == ""
     assert captured.err.startswith("input error:")
     assert "at line 5" in captured.err
+
+
+def test_cech_order_zero_is_input_error(capsys):
+    """--order 0 is an order, not a missing option: normalize refuses it."""
+    code = main(["cech", "--example", "p1p1-diagonal", "--order", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--angular", "0"), ("--angular", "-2"), ("--angular", "15"),
+    ("--R", "-0.3"), ("--R", "0"), ("--R", "inf"), ("--R", "nan"),
+    ("--rings", "0"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan")])
+def test_dbar_bad_grid_input_is_input_error(capsys, option, value):
+    argv = {"--nu": "0.0", "--R": "0.3", "--rings": "4", "--angular": "16",
+            "--model": "const:0.1", option: value}
+    code = main(["dbar", *(x for kv in argv.items() for x in kv)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+
+
+def _digest_line(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "kv")
+    assert code == 0
+    return next(line for line in out.splitlines()
+                if line.startswith("input_digest="))
+
+
+@pytest.mark.parametrize("base, variants", [
+    (["t1", "--example", "odp3"],
+     [["--jmin", "-3", "--jmax", "0"], ["--jmin", "-2", "--jmax", "0"],
+      ["--jmin", "-3", "--jmax", "1"]]),
+    (["cech", "--example", "p1p1-diagonal"],
+     [["--order", "1"], ["--order", "2"]]),
+    (["metric", "--delta", "1", "--potential", "1+|z|^2"],
+     [[], ["--sweep", "1..2"]]),
+    (["rate", "--n", "3", "--alpha", "2", "--abs-weight", "1"],
+     [[], ["--compact"]]),
+])
+def test_digest_covers_output_options(capsys, base, variants):
+    """Runs that differ only in an option that changes the output get
+    different digests."""
+    digests = {_digest_line(capsys, base + v) for v in variants}
+    assert len(digests) == len(variants)
+
+
+def test_metric_digest_covers_fd_step(capsys, monkeypatch):
+    argv = ["metric", "--delta", "1", "--potential", "1+|z|^2"]
+    digests = set()
+    for step in ("1e-5", "1e-4"):
+        monkeypatch.setenv("CONEDEFORM_FD_STEP", step)
+        digests.add(_digest_line(capsys, argv))
+    assert len(digests) == 2

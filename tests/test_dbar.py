@@ -211,6 +211,26 @@ def test_midpoint_matches_fourier_on_smooth_bump():
     assert order1 > 1.5 and order2 > 1.5
 
 
+def test_angular_exact_kernel_refuses_midpoint_grids():
+    """The kernel's FFT assumes the angles 2 pi k / M; a midpoint grid has
+    2 pi (k + 1/2) / M, which would give a wrong value, not an error."""
+    g = _grid(scheme="midpoint")
+    F = DiskField.from_function(g, lambda z: np.conj(z) ** 2 + z)
+    with pytest.raises(ValueError, match="gauss scheme"):
+        transform_at(F, [0.2 + 0.1j], modified=False)
+    with pytest.raises(ValueError, match="gauss scheme"):
+        transform_with_derivative(F)
+    # the midpoint transform itself and the norms still run on it
+    assert np.isfinite(modified_transform(F).values).all()
+    assert weighted_norms(F, HolderParams(0.5, 0.0)).total > 0
+
+
+def test_disk_grid_needs_a_radial_node():
+    # R, rings, angular and tol are checked through the CLI in test_cli
+    with pytest.raises(ValueError, match="radial"):
+        DiskGrid(0.5, 4, 16, 0)
+
+
 # ---------------------------------------------------------------------------
 # weighted norms
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conedeform.laurent import LaurentPoly, YSeries, invert_chart_map
+from conedeform.poly import Polynomial
 from conedeform.rational import GaussianRational
 
 
@@ -92,3 +93,71 @@ def test_invert_chart_map_roundtrip():
 def test_invert_chart_map_rejects_negative_support():
     with pytest.raises(ValueError):
         invert_chart_map(LaurentPoly.monomial(-1), LaurentPoly.zero(), 1, 3)
+
+
+def _binary_power(S, k):
+    out = YSeries.const(S.order, LaurentPoly.monomial(0))
+    base = S
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
+def _compose_per_exponent(S, L):
+    """The oracle: one binary power of the series, or of its inverse, for
+    each exponent of L separately."""
+    pos = {e: c for e, c in L.coeffs.items() if e > 0}
+    neg = {e: c for e, c in L.coeffs.items() if e < 0}
+    out = YSeries.const(S.order, LaurentPoly.monomial(0, L.coefficient(0))) \
+        if L.coefficient(0) != 0 else YSeries.zero(S.order)
+    for e in sorted(pos):
+        out = out + _binary_power(S, e) * LaurentPoly.monomial(0, pos[e])
+    if neg:
+        inv = S.inverse()
+        for e in sorted(neg, reverse=True):
+            out = out + _binary_power(inv, -e) * LaurentPoly.monomial(0, neg[e])
+    return out
+
+
+def _rand_param_poly(rng, nvars=2):
+    """A parameter polynomial over Q(i) of degree <= 2 in nvars parameters."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = tuple(rng.randint(0, 1) for _ in range(nvars))
+        terms[e] = GaussianRational(Fraction(rng.randint(-3, 3),
+                                             rng.randint(1, 2)),
+                                    rng.randint(-1, 1))
+    return Polynomial(nvars, terms)
+
+
+@pytest.mark.parametrize("params", [False, True])
+def test_compose_laurent_matches_per_exponent_powers(params):
+    """The power ladder equals one binary power per exponent: negative,
+    zero and positive exponents, sparse and consecutive, with scalar and
+    parameter-polynomial coefficients."""
+    rng = random.Random(5 + params)
+    K = 3
+    if params:
+        coeff = lambda: _rand_param_poly(rng)
+        unit = lambda c: Polynomial.constant(2, GaussianRational(c))
+    else:
+        coeff = lambda: GaussianRational(Fraction(rng.randint(-5, 5),
+                                                  rng.randint(1, 3)),
+                                         rng.randint(-2, 2))
+        unit = GaussianRational
+    for trial in range(12):
+        lead = LaurentPoly.monomial(rng.randint(-2, 2),
+                                    unit(rng.choice([1, 2, -1, 3])))
+        rest = [LaurentPoly({rng.randint(-2, 2): coeff()
+                             for _ in range(rng.randint(0, 2))})
+                for _ in range(K)]
+        S = YSeries(K, [lead] + rest)
+        exps = {rng.randint(-5, 5) for _ in range(rng.randint(1, 4))}
+        if trial % 3 == 0:
+            exps |= {0, -1, 1}
+        L = LaurentPoly({e: coeff() for e in exps})
+        assert S.compose_laurent(L) == _compose_per_exponent(S, L)
+    assert S.compose_laurent(LaurentPoly.zero()) == YSeries.zero(K)

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conedeform.rational import GaussianRational, gaussian_sqrt, rational_sqrt
+from conedeform.poly import Polynomial
+from conedeform.rational import (GaussianRational, gaussian_sqrt, power,
+                                  rational_sqrt)
 
 
 def test_field_axioms_random():
@@ -64,3 +66,19 @@ def test_gaussian_sqrt_nonsquare():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         GaussianRational(1) / GaussianRational(0)
+
+
+def test_power_is_repeated_multiplication():
+    """power(base, k, one) equals k - 1 products of base for k >= 1 and
+    is `one` at k = 0, in Q(i) and in a polynomial ring."""
+    x = GaussianRational(Fraction(2, 3), -1)
+    p = Polynomial(2, {(1, 0): 1, (0, 1): GaussianRational(0, 1)})
+    for base, one in ((x, GaussianRational(1)), (p, Polynomial.constant(2, 1))):
+        acc = one
+        for k in range(0, 12):
+            assert power(base, k, one) == acc
+            acc = acc * base
+    assert power(x, 0, "one") == "one"
+    assert x ** -3 * x ** 3 == 1
+    with pytest.raises(ValueError):
+        power(x, -1, GaussianRational(1))
