@@ -19,7 +19,7 @@ from .graded import (NORMALITY_NOTE, RateInput, deformation_weight,
                      predicted_rate, t1_graded)
 from .parsing import (ParseError, parse_cone_deck, parse_potential,
                       parse_transition_deck)
-from .reports import Report, digest, fmt
+from .reports import Report, Section, digest
 
 ENV_DEFAULTS = {
     "CONEDEFORM_DBAR_TOL": ("dbar --tol default", "1e-10"),
@@ -199,6 +199,9 @@ def cmd_weight(args):
 
 def cmd_rate(args):
     if args.input or args.example:
+        if args.compact or {args.n, args.alpha, args.abs_weight} != {None}:
+            raise ParseError("--n, --alpha, --abs-weight and --compact take "
+                             "no deck: a deck's [params] line sets them")
         deck, text, label = _load_deck(args, EXAMPLE_DECKS, parse_cone_deck)
         if deck.perturbation is None or deck.n is None or deck.alpha is None:
             raise ParseError("rate needs [perturbation] and [params] "
@@ -323,7 +326,7 @@ def cmd_metric(args):
 def cmd_dbar(args):
     model = _parse_model(args.model)
     p = HolderParams(args.alpha, args.nu)
-    if args.eta is not None and abs(args.eta - model.eta) > 1e-12:
+    if args.eta is not None and not abs(args.eta - model.eta) <= 1e-12:
         raise ParseError("--eta disagrees with the model's decay exponent")
     sol = solve_beltrami(model, p, args.R, tol=args.tol, rings=args.rings,
                          angular=args.angular)
@@ -349,22 +352,18 @@ def cmd_dbar(args):
 
 def _write_dbar_report(path, args, sol):
     """UTF-8 table plus a line-oriented key=value trailer."""
-    lines = []
-    lines.append("R          iterations  residual      norm")
-    lines.append("%-10.4g %-11d %-13.4e %-12.6e"
-                 % (args.R, sol.iterations, sol.residual, sol.norm))
-    lines.append("")
-    lines.append(f"model={args.model}")
-    lines.append(f"R={fmt(args.R)}")
-    lines.append(f"nu={fmt(args.nu)}")
-    lines.append(f"alpha={fmt(args.alpha)}")
-    lines.append(f"tol={fmt(args.tol)}")
-    lines.append(f"iterations={sol.iterations}")
-    lines.append(f"residual={fmt(sol.residual)}")
-    lines.append(f"norm={fmt(sol.norm)}")
+    trailer = Section("report")
+    for key in ("model", "R", "nu", "alpha", "tol"):
+        trailer.add(key, getattr(args, key))
+    trailer.add("iterations", sol.iterations)
+    trailer.add("residual", sol.residual)
+    trailer.add("norm", sol.norm)
     for i, inc in enumerate(sol.increments):
-        lines.append(f"increment.{i}={fmt(inc)}")
-    lines.append("")
+        trailer.add(f"increment.{i}", inc)
+    lines = ["R          iterations  residual      norm",
+             "%-10.4g %-11d %-13.4e %-12.6e"
+             % (args.R, sol.iterations, sol.residual, sol.norm),
+             "", *trailer.kv_lines(""), ""]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
 
@@ -487,6 +486,9 @@ def main(argv=None) -> int:
         return 2
     except (ParseError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
+        return 1
+    except OverflowError as exc:
+        sys.stderr.write(f"input error: a value overflows a float ({exc})\n")
         return 1
 
 

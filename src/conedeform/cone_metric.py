@@ -153,6 +153,8 @@ class ConeChart:
             raise ValueError("the fiber coordinate must not vanish")
         self.z = tuple(complex(v) for v in self.z)
         self.xi = complex(self.xi)
+        if not all(np.isfinite(v) for v in (self.xi, *self.z)):
+            raise ValueError("the chart coordinates xi and z must be finite")
 
 
 @dataclass

@@ -84,21 +84,16 @@ class DiskGrid:
         if not puncture:
             bounds.append((0.0, self.R * 2.0 ** (-self.rings)))
         self.bounds = bounds
+        lo, hi = np.array(bounds).T
         if scheme == "gauss":
             x, w = np.polynomial.legendre.leggauss(self.radial)
-            self.radii = np.empty((len(bounds), self.radial))
-            self.rweights = np.empty_like(self.radii)
-            for k, (lo, hi) in enumerate(bounds):
-                self.radii[k] = lo + (hi - lo) * (x + 1) / 2
-                self.rweights[k] = w * (hi - lo) / 2
+            self.radii = lo[:, None] + (hi - lo)[:, None] * (x + 1) / 2
+            self.rweights = w * (hi - lo)[:, None] / 2
             self.thetas = 2 * np.pi * np.arange(self.angular) / self.angular
         elif scheme == "midpoint":
-            self.radii = np.empty((len(bounds), self.radial))
-            self.rweights = np.empty_like(self.radii)
-            for k, (lo, hi) in enumerate(bounds):
-                edges = np.linspace(lo, hi, self.radial + 1)
-                self.radii[k] = (edges[:-1] + edges[1:]) / 2
-                self.rweights[k] = np.diff(edges)
+            edges = np.linspace(lo, hi, self.radial + 1, axis=-1)
+            self.radii = (edges[:, :-1] + edges[:, 1:]) / 2
+            self.rweights = np.diff(edges)
             self.thetas = 2 * np.pi * (np.arange(self.angular) + 0.5) / self.angular
         else:
             raise ValueError(scheme)
@@ -180,18 +175,20 @@ class _Plan:
         self.expo = np.where(self.n >= 1, self.n - 1, 0)
         self.sub_x, self.sub_w = np.polynomial.legendre.leggauss(
             grid.radial + 6)
-        self.lo = np.array([lo for lo, _ in grid.bounds])
-        self.hi = np.array([hi for _, hi in grid.bounds])
-        # barycentric weights of the ring radial nodes
-        self.bary = []
-        for k in range(grid.nrings):
-            r = grid.radii[k]
-            w = np.ones(grid.radial)
-            for i in range(grid.radial):
-                for j in range(grid.radial):
-                    if i != j:
-                        w[i] /= (r[i] - r[j])
-            self.bary.append(w)
+        self.lo, self.hi = np.array(grid.bounds).T
+        # barycentric weights of the ring radial nodes, one gap at a time
+        r = grid.radii
+        gaps = r[:, :, None] - r[:, None, :]
+        diag = np.arange(grid.radial)
+        gaps[:, diag, diag] = 1.0
+        self.bary = np.ones_like(r)
+        for j in diag:
+            self.bary /= gaps[:, :, j]
+        # radial differentiation matrices (the row sum on the diagonal)
+        D = self.bary[:, None, :] / self.bary[:, :, None] / gaps
+        D[:, diag, diag] = 0.0
+        D[:, diag, diag] = -D.sum(axis=-1)
+        self.dr = D
 
 
 def _bary_interp(r_nodes, bary_w, targets):
@@ -228,21 +225,15 @@ def _ring_integrals(grid, plan, G):
             np.einsum("kim,kim->km", G, fold_out))
 
 
-def _value_at_zero(grid, G):
-    """Tf(0): only the n = 1 outer ring integrals contribute."""
-    plan = _plan(grid)
-    _, J_out = _ring_integrals(grid, plan, G)
-    return -2.0 * J_out[:, plan.n == 1].sum()
-
-
 def _radial_coefficients(grid, G, rho):
-    """coeff[u, n] with Tf(rho_u e^(i phi)) = sum_n coeff[u, n] e^(i(n-1)phi),
-    for distinct radii rho_u > 0.  The FFT modes are exact only on the
-    equispaced angles 2 pi k / M of the gauss scheme.
+    """(coeff, Tf(0)), coeff[u, n] with Tf(rho_u e^(i phi)) = sum_n coeff[u, n]
+    e^(i(n-1)phi) for distinct radii rho_u > 0.  The FFT modes are exact
+    only on the equispaced angles 2 pi k / M of the gauss scheme.
 
     Rings wholly inside or outside rho_u enter through the ring integrals,
     accumulated ring to ring (ratio powers <= 1 only); the ring holding
-    rho_u is split there by a Gauss sub-rule."""
+    rho_u is split there by a Gauss sub-rule.  Tf(0) needs only the n = 1
+    outer ring integrals."""
     if grid.scheme != "gauss":
         raise ValueError(f"the angular-exact transform needs the angles "
                          f"2 pi k / M of the gauss scheme, not the "
@@ -270,7 +261,7 @@ def _radial_coefficients(grid, G, rho):
         for s in range(0, len(idx), _BLOCK):
             blk = idx[s:s + _BLOCK]
             coeff[blk] += _split_ring(grid, plan, G[k], k, rho[blk, None])
-    return coeff
+    return coeff, -2.0 * J_out[:, plan.n == 1].sum()
 
 
 def _split_ring(grid, plan, Gk, k, rho):
@@ -307,13 +298,12 @@ def _node_transform(grid, V, modified, derivative=False):
     """Tf or Ttilde f at the grid nodes (inverse FFT of the per-radius
     coefficients), and d/dzeta of it from the same coefficients."""
     plan = _plan(grid)
-    G = _modes(grid, V)
-    coeff = _radial_coefficients(grid, G, grid.radii.ravel())
+    coeff, t0 = _radial_coefficients(grid, _modes(grid, V), grid.radii.ravel())
     coeff = coeff.reshape(grid.shape())
     M = grid.angular
     out = M * np.fft.ifft(coeff, axis=-1) * np.exp(-1j * grid.thetas)
     if modified:
-        out = out - _value_at_zero(grid, G)
+        out = out - t0
     if not derivative:
         return out, None
     # d/dzeta: sum_n 2 (n-1) zeta^(n-2) (I_in | -I_out) + e^(-2 i phi) f
@@ -334,19 +324,20 @@ def _check_integrable(f: DiskField):
 
 def cauchy_transform(f: DiskField) -> DiskField:
     """Solid Cauchy transform at the grid nodes."""
-    _check_integrable(f)
-    if f.grid.scheme == "midpoint":
-        return _midpoint_transform(f, modified=False)
-    out, _ = _node_transform(f.grid, f.values, modified=False)
-    return DiskField(f.grid, out, min(f.eta + 1, 1.0))
+    return _transform(f, modified=False)
 
 
 def modified_transform(f: DiskField) -> DiskField:
     """Ttilde f = Tf - Tf(0); vanishes at the puncture exactly."""
+    return _transform(f, modified=True)
+
+
+def _transform(f: DiskField, modified: bool) -> DiskField:
     _check_integrable(f)
     if f.grid.scheme == "midpoint":
-        return _midpoint_transform(f, modified=True)
-    out, _ = _node_transform(f.grid, f.values, modified=True)
+        out = _midpoint_transform(f.grid, f.values, modified)
+    else:
+        out, _ = _node_transform(f.grid, f.values, modified)
     return DiskField(f.grid, out, min(f.eta + 1, 1.0))
 
 
@@ -366,9 +357,8 @@ def transform_at(f: DiskField, pts, modified=True):
     if np.any(rho == 0):
         raise ValueError("evaluation at the puncture is not defined; use "
                          "the modified transform value 0 instead")
-    G = _modes(grid, f.values)
     radii, inv = np.unique(rho, return_inverse=True)
-    coeff = _radial_coefficients(grid, G, radii)
+    coeff, t0 = _radial_coefficients(grid, _modes(grid, f.values), radii)
     phi = np.angle(pts)
     k = _plan(grid).n - 1
     vals = np.empty(len(pts), dtype=complex)
@@ -377,20 +367,20 @@ def transform_at(f: DiskField, pts, modified=True):
         phase = np.exp(1j * np.outer(phi[sl], k))
         vals[sl] = np.einsum("pm,pm->p", coeff[inv[sl]], phase)
     if modified:
-        vals -= _value_at_zero(grid, G)
+        vals -= t0
     return vals
 
 
-def _midpoint_transform(f: DiskField, modified: bool) -> DiskField:
-    """Polar midpoint rule; the singular cell is replaced by the exact
-    integral over the equal-area disk centered at the node, which is 0."""
-    grid = f.grid
+def _midpoint_transform(grid, V, modified):
+    """Tf or Ttilde f values by the polar midpoint rule; the singular cell
+    is replaced by the exact integral over the equal-area disk centered at
+    the node, which is 0."""
     nodes = grid.nodes().ravel()
     r = grid.radii[:, :, None] * np.ones_like(grid.thetas)[None, None, :]
     w = (grid.rweights[:, :, None] * np.ones_like(grid.thetas)[None, None, :]
          * (2 * np.pi / grid.angular)) * grid.radii[:, :, None]
     w = w.ravel()
-    src = f.values.ravel()
+    src = V.ravel()
     out = np.empty_like(src)
     chunk = 512
     for i0 in range(0, len(nodes), chunk):
@@ -403,11 +393,17 @@ def _midpoint_transform(f: DiskField, modified: bool) -> DiskField:
     if modified:
         t0 = (-(w * src / nodes).sum()) / np.pi
         vals = vals - t0
-    return DiskField(grid, vals, min(f.eta + 1, 1.0))
+    return vals
 
 
 # ---------------------------------------------------------------------------
 # weighted Hoelder norms
+
+
+def _finite(x, what):
+    if not np.isfinite(x):
+        raise ValueError(f"the {what} must be finite, got {x}")
+    return x
 
 
 @dataclass
@@ -418,40 +414,20 @@ class HolderParams:
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
+        _finite(self.nu, "weight nu")
 
 
 def _ring_derivatives(grid, V):
     """Wirtinger derivatives (d/dzeta, d/dzbar) per ring via the radial
-    differentiation matrix on the GL nodes and the spectral angular
+    differentiation matrices on the GL nodes and the spectral angular
     derivative."""
-    K, n_r, M = grid.shape()
     plan = _plan(grid)
-    n = plan.n
-    dz = np.empty_like(V)
-    dzb = np.empty_like(V)
-    for k in range(K):
-        r = grid.radii[k]
-        D = _diff_matrix(r, plan.bary[k])
-        dr = np.einsum("ab,...bm->...am", D, V[..., k, :, :])
-        Gh = np.fft.fft(V[..., k, :, :], axis=-1)
-        dth = np.fft.ifft(1j * n * Gh, axis=-1)
-        th = grid.thetas
-        eith = np.exp(1j * th)
-        rr = r[:, None]
-        dz[..., k, :, :] = 0.5 * (dr - 1j * dth / rr) / eith
-        dzb[..., k, :, :] = 0.5 * (dr + 1j * dth / rr) * eith
-    return dz, dzb
-
-
-def _diff_matrix(r, bary):
-    n = len(r)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = bary[j] / bary[i] / (r[i] - r[j])
-        D[i, i] = -D[i].sum()
-    return D
+    dr = np.einsum("kab,...kbm->...kam", plan.dr, V)
+    dth = np.fft.ifft(1j * plan.n * np.fft.fft(V, axis=-1), axis=-1)
+    eith = np.exp(1j * grid.thetas)
+    rr = grid.radii[..., None]
+    return (0.5 * (dr - 1j * dth / rr) / eith,
+            0.5 * (dr + 1j * dth / rr) * eith)
 
 
 @dataclass
@@ -470,7 +446,8 @@ def weighted_norms(f: DiskField, p: HolderParams) -> NormReport:
     [w]_{1,alpha,s} = sup|w| + s sup|Dw| + s^a Hol_a(w) + s^(1+a) Hol_a(Dw)
     on each annulus A(s,2s) of the grid (the center piece is left out); the
     norm is sup_s s^(-nu) [w]_{1,alpha,s}.  Pairs for the Hoelder quotients
-    stay within one annulus (comparable radii only)."""
+    stay within one annulus (comparable radii only).  A NaN anywhere makes
+    the norm NaN."""
     grid = f.grid
     V = f.values
     dz, dzb = _ring_derivatives(grid, V)
@@ -478,7 +455,6 @@ def weighted_norms(f: DiskField, p: HolderParams) -> NormReport:
     alpha, nu = p.alpha, p.nu
     per_ring = []
     parts = np.zeros(4)
-    total = 0.0
     for k in range(grid.rings):
         s = grid.bounds[k][0]
         w = V[k].ravel()
@@ -488,13 +464,12 @@ def weighted_norms(f: DiskField, p: HolderParams) -> NormReport:
         hol, holz, holzb = _holder_sups(
             nodes[k].ravel(), (w, dz[k].ravel(), dzb[k].ravel()), alpha)
         hold = max(holz, holzb)
-        bracket = sup + s * supd + s ** alpha * hol + s ** (1 + alpha) * hold
+        terms = [sup, s * supd, s ** alpha * hol, s ** (1 + alpha) * hold]
         weight = s ** (-nu)
         per_ring.append({"s": s, "sup": sup, "dsup": supd, "holder": hol,
-                         "dholder": hold, "weighted": weight * bracket})
-        parts = np.maximum(parts, weight * np.array(
-            [sup, s * supd, s ** alpha * hol, s ** (1 + alpha) * hold]))
-        total = max(total, weight * bracket)
+                         "dholder": hold, "weighted": weight * sum(terms)})
+        parts = np.maximum(parts, weight * np.array(terms))
+    total = float(np.max([ring["weighted"] for ring in per_ring]))
     return NormReport(total, *parts, per_ring)
 
 
@@ -542,13 +517,14 @@ class PerturbationModel:
 
     @staticmethod
     def constant(c):
-        c = complex(c)
+        c = _finite(complex(c), "coefficient c")
         return PerturbationModel(lambda z: np.full_like(z, c, dtype=complex),
                                  0.0, abs(c))
 
     @staticmethod
     def power(c, eta):
-        c = complex(c)
+        c = _finite(complex(c), "coefficient c")
+        eta = _finite(float(eta), "decay exponent eta")
 
         def a(z):
             z = np.asarray(z, dtype=complex)
@@ -557,7 +533,7 @@ class PerturbationModel:
                 out = c * np.conj(z) / az * az ** eta
             return np.where(az == 0, 0.0, out)
 
-        return PerturbationModel(a, float(eta), abs(c))
+        return PerturbationModel(a, eta, abs(c))
 
     def validate_on(self, grid):
         z = grid.nodes()
@@ -607,32 +583,32 @@ def solve_beltrami(model: PerturbationModel, p: HolderParams, R, tol=1e-10,
     decl = DiskGrid(R, rings, angular, radial)
     pw = HolderParams(p.alpha, p.nu + 1)
     model.validate_on(grid)
-    zeta = grid.nodes()
-    a0 = model.a(zeta)
-    g = DiskField(grid, -a0, model.eta)
-    z0, _ = transform_with_derivative(g)
+
+    def declared(v):
+        return DiskField(decl, v[:rings], model.eta + 1)
+
+    zf = dzf = np.zeros(grid.shape(), dtype=complex)
+    g = _beltrami_source(model, grid, zf, dzf)
+    zf_new, dzf_new = transform_with_derivative(g)
     # threshold check on the weighted sup of J[0]; the full Hoelder norm is
     # reported by contraction_study
-    j0_field = DiskField(decl, z0[:rings], model.eta + 1)
-    j0_sup = weighted_sup(j0_field, p.nu + 1)
+    j0_sup = weighted_sup(declared(zf_new), p.nu + 1)
     if j0_sup > CONTRACTION_THRESHOLD:
         raise PreconditionFailure(
             f"weighted sup of J[0] = {j0_sup:.3g} exceeds the contraction "
             f"threshold {CONTRACTION_THRESHOLD}; reduce R or the perturbation")
-    zf = np.zeros_like(a0)
-    dzf = np.zeros_like(a0)
     increments = []
     prev_inc = None
     bad = 0
     it = 0
     for it in range(1, MAX_ITERATIONS + 1):
-        gv = -model.a(zeta + zf) * (1.0 + np.conj(dzf))
-        g = DiskField(grid, gv, model.eta)
-        zf_new, dzf_new = transform_with_derivative(g)
-        inc_field = DiskField(decl, (zf_new - zf)[:rings], model.eta + 1)
-        inc = weighted_norms(inc_field, pw).total
+        inc = weighted_norms(declared(zf_new - zf), pw).total
+        if not np.isfinite(inc):
+            raise ContractionFailure(
+                f"increment {inc} is not finite at iteration {it}")
         increments.append(inc)
         zf, dzf = zf_new, dzf_new
+        g = _beltrami_source(model, grid, zf, dzf)
         if inc < tol:
             break
         if prev_inc is not None and inc >= prev_inc:
@@ -644,20 +620,30 @@ def solve_beltrami(model: PerturbationModel, p: HolderParams, R, tol=1e-10,
         else:
             bad = 0
         prev_inc = inc
-    g_final = DiskField(grid, -model.a(zeta + zf) * (1.0 + np.conj(dzf)),
-                        model.eta)
-    sol_field = DiskField(decl, zf[:rings], model.eta + 1)
+        if it < MAX_ITERATIONS:   # the next iterate; the last needs none
+            zf_new, dzf_new = transform_with_derivative(g)
+    sol_field = declared(zf)
     norm = weighted_norms(sol_field, pw).total
-    residual = beltrami_residual(model, g_final, R, rings, angular, radial)
+    residual = beltrami_residual(model, g, rings)
     return BeltramiSolution(sol_field, it, increments, residual, norm,
-                            grid, g_final)
+                            grid, g)
 
 
-def beltrami_residual(model, g_final: DiskField, R, rings, angular, radial):
-    """sup |dbar z + a(z) conj(dz)| on an independent, finer grid, with
+def _beltrami_source(model, grid, zf, dzf):
+    """The source -a(zeta + zfrak) (1 + conj(d zfrak)) of the Beltrami map
+    at the nodes of `grid`, for zfrak and d zfrak/dzeta given there."""
+    return DiskField(grid, -model.a(grid.nodes() + zf) * (1.0 + np.conj(dzf)),
+                     model.eta)
+
+
+def beltrami_residual(model, g_final: DiskField, rings):
+    """sup |dbar z + a(z) conj(dz)| = sup |dbar zfrak - g| (g the Beltrami
+    source) on an independent, finer grid than g_final's, with
     central-difference Wirtinger derivatives at steps
     RESIDUAL_FD_SCALE * |zeta|."""
-    vgrid = DiskGrid(R * 0.98, rings, 2 * angular, radial + 2, puncture=True)
+    grid = g_final.grid
+    vgrid = DiskGrid(grid.R * 0.98, rings, 2 * grid.angular, grid.radial + 2,
+                     puncture=True)
     pts = vgrid.nodes().ravel()
     center = {}
 
@@ -669,9 +655,10 @@ def beltrami_residual(model, g_final: DiskField, R, rings, angular, radial):
 
     dz, dzb = fd.wirtinger(zfrak, pts, RESIDUAL_FD_SCALE * np.abs(pts),
                            richardson=False)
-    z = pts + center["zfrak"]
-    res = dzb + model.a(z) * (1.0 + np.conj(dz))
-    return float(np.abs(res).max())
+    shape = vgrid.shape()
+    g = _beltrami_source(model, vgrid, center["zfrak"].reshape(shape),
+                         dz.reshape(shape))
+    return float(np.abs(dzb - g.values.ravel()).max())
 
 
 @dataclass
@@ -695,30 +682,22 @@ def contraction_study(model: PerturbationModel, p: HolderParams, R_list,
     map across radii; the log-log slopes verify the R^(eta-nu) and R^eta
     contraction scalings."""
     rng = np.random.default_rng(seed)
+    pnorm = HolderParams(p.alpha, p.nu + 1)
     rows = []
     for R in R_list:
         grid = DiskGrid(R, rings, angular, radial, puncture=True)
-        zeta = grid.nodes()
-        pnorm = HolderParams(p.alpha, p.nu + 1)
 
         def J(zf, dzf):
-            gv = -model.a(zeta + zf) * (1.0 + np.conj(dzf))
-            return transform_with_derivative(DiskField(grid, gv, model.eta))
+            return transform_with_derivative(
+                _beltrami_source(model, grid, zf, dzf))
 
-        z0, d0 = J(np.zeros_like(zeta), np.zeros_like(zeta))
+        zeros = np.zeros(grid.shape(), dtype=complex)
+        z0, _ = J(zeros, zeros)
         j0 = weighted_norms(DiskField(grid, z0, model.eta + 1), pnorm).total
         lip = 0.0
         for _ in range(probes):
-            u = _random_probe(grid, rng)
-            z1, d1 = transform_with_derivative(DiskField(grid, u, 0.0))
-            scale = 0.5 / max(weighted_norms(DiskField(grid, z1, 0.0),
-                                             pnorm).total, 1e-30)
-            z1, d1 = z1 * scale, d1 * scale
-            u2 = _random_probe(grid, rng)
-            z2, d2 = transform_with_derivative(DiskField(grid, u2, 0.0))
-            scale2 = 0.5 / max(weighted_norms(DiskField(grid, z2, 0.0),
-                                              pnorm).total, 1e-30)
-            z2, d2 = z2 * scale2, d2 * scale2
+            z1, d1 = _unit_probe(grid, rng, pnorm)
+            z2, d2 = _unit_probe(grid, rng, pnorm)
             Ja, _ = J(z1, d1)
             Jb, _ = J(z2, d2)
             dn = weighted_norms(DiskField(grid, z1 - z2, 0.0), pnorm).total
@@ -732,6 +711,16 @@ def contraction_study(model: PerturbationModel, p: HolderParams, R_list,
     j0_slope = _regress(np.log(Rs), np.log(j0s)) if min(j0s) > 0 else None
     lip_slope = _regress(np.log(Rs), np.log(lips)) if min(lips) > 0 else None
     return ContractionStudy(rows, j0_slope, lip_slope)
+
+
+def _unit_probe(grid, rng, pnorm):
+    """(zfrak, d zfrak/dzeta) for zfrak = Ttilde of a random probe, scaled
+    to weighted norm 1/2."""
+    z, d = transform_with_derivative(DiskField(grid, _random_probe(grid, rng),
+                                               0.0))
+    scale = 0.5 / max(weighted_norms(DiskField(grid, z, 0.0), pnorm).total,
+                      1e-30)
+    return z * scale, d * scale
 
 
 def _random_probe(grid, rng):

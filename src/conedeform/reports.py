@@ -30,6 +30,10 @@ class Section:
     def add(self, key, value):
         self.rows.append((str(key), fmt(value)))
 
+    def kv_lines(self, prefix):
+        """One `prefix + key=value` line per row, spaces in keys as '_'."""
+        return [f"{prefix}{k.replace(' ', '_')}={v}" for k, v in self.rows]
+
 
 @dataclass
 class Report:
@@ -80,9 +84,7 @@ class Report:
         out.append(f"seed={self.seed}")
         out.append(f"input_digest={self.input_digest}")
         for s in self.sections:
-            prefix = s.title.replace(" ", "_")
-            for k, v in s.rows:
-                out.append(f"{prefix}.{k.replace(' ', '_')}={v}")
+            out.extend(s.kv_lines(s.title.replace(" ", "_") + "."))
         for i, n in enumerate(self.hypothesis_notes):
             out.append(f"note.{i}={n}")
         out.append("")

@@ -1,6 +1,6 @@
 import pytest
 
-from conedeform.cli import main
+from conedeform.cli import EXAMPLE_DECKS, main
 
 
 def run(capsys, *argv):
@@ -171,6 +171,8 @@ def test_malformed_env_override_is_input_error(capsys, monkeypatch, name,
     ["--potential", "1+|z|^2", "--xi", "1,2,3"],
     ["--potential", "1+|z|^2", "--sweep", "1..1"],
     ["--potential", "1+|z|^2", "--sweep", "3..1"],
+    ["--potential", "1+|z|^2", "--xi", "nan"],
+    ["--potential", "1+|z|^2", "--xi", "1e-200"],
 ])
 def test_metric_bad_input_is_input_error(capsys, argv):
     code = main(["metric", "--delta", "1/2", *argv])
@@ -193,6 +195,24 @@ def test_bad_deck_param_is_input_error(capsys, tmp_path, param):
     assert "at line 5" in captured.err
 
 
+@pytest.mark.parametrize("flags", [["--compact"], ["--n", "7"],
+                                   ["--alpha", "5"], ["--abs-weight", "9"]])
+@pytest.mark.parametrize("deck", [["--example", "cubic-cone"],
+                                  ["--input", "DECK"]])
+def test_rate_deck_with_rate_flags_is_input_error(capsys, tmp_path, deck,
+                                                  flags):
+    """A deck's [params] set n, alpha and compactness, and the weight comes
+    from its perturbation: the direct-rate flags must not be ignored."""
+    path = tmp_path / "cubic.deck"
+    path.write_text(EXAMPLE_DECKS["cubic-cone"])
+    deck = [str(path) if x == "DECK" else x for x in deck]
+    code = main(["rate", *deck, *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+
+
 def test_cech_order_zero_is_input_error(capsys):
     """--order 0 is an order, not a missing option: normalize refuses it."""
     code = main(["cech", "--example", "p1p1-diagonal", "--order", "0"])
@@ -205,7 +225,9 @@ def test_cech_order_zero_is_input_error(capsys):
 @pytest.mark.parametrize("option, value", [
     ("--angular", "0"), ("--angular", "-2"), ("--angular", "15"),
     ("--R", "-0.3"), ("--R", "0"), ("--R", "inf"), ("--R", "nan"),
-    ("--rings", "0"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan")])
+    ("--rings", "0"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"),
+    ("--model", "const:nan"), ("--model", "const:inf"),
+    ("--model", "power:0.05,nan"), ("--nu", "nan"), ("--eta", "nan")])
 def test_dbar_bad_grid_input_is_input_error(capsys, option, value):
     argv = {"--nu": "0.0", "--R": "0.3", "--rings": "4", "--angular": "16",
             "--model": "const:0.1", option: value}

@@ -255,6 +255,20 @@ def test_weighted_norm_zero():
     assert rep.total == 0.0
 
 
+@pytest.mark.parametrize("where", ["all", "one node"])
+def test_weighted_norm_of_nan_field_is_nan(where):
+    """A NaN must not fold away in the max over rings: it would read as
+    norm 0 and end a solve as converged."""
+    grid = _grid()
+    V = grid.nodes() ** 2
+    if where == "all":
+        V[:] = np.nan
+    else:
+        V[2, 3, 5] = np.nan
+    rep = weighted_norms(DiskField(grid, V), HolderParams(0.5, 0.7))
+    assert math.isnan(rep.total)
+
+
 def test_weighted_norm_power_sup_window():
     grid = _grid()
     nu = 0.7
@@ -381,6 +395,25 @@ def test_beltrami_rejects_bad_weight():
     model = PerturbationModel.power(0.05, 0.8)
     with pytest.raises(ValueError):
         solve_beltrami(model, HolderParams(0.5, 0.9), R=0.2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PerturbationModel.constant(complex("nan")),
+    lambda: PerturbationModel.constant(math.inf),
+    lambda: PerturbationModel.power(0.05, math.nan),
+    lambda: PerturbationModel.power(math.inf, 0.8),
+    lambda: HolderParams(0.5, math.nan),
+    lambda: HolderParams(0.5, -math.inf)])
+def test_nonfinite_model_or_weight_is_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+def test_beltrami_nonfinite_increment_is_contraction_failure():
+    model = PerturbationModel(lambda z: np.full_like(z, np.nan), 0.0, 0.1)
+    with pytest.raises(dbar.ContractionFailure, match="not finite"):
+        solve_beltrami(model, HolderParams(0.5, 0.0), R=0.3, rings=4,
+                       angular=16, radial=6, extra_rings=4)
 
 
 def test_contraction_study_constant_model():

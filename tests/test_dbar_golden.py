@@ -1,0 +1,77 @@
+"""Golden values of the Beltrami solve and the contraction study, captured
+before the dbar engine moved to one Beltrami source, one ring-integral
+pass per transform and grid tables built once per grid.
+
+Every value must match bit for bit: the refactor evaluates the same
+arithmetic in the same order."""
+
+import pytest
+
+from conedeform import dbar
+from conedeform.dbar import (HolderParams, PerturbationModel,
+                             contraction_study, solve_beltrami)
+
+SOLVES = {
+    # name: (model, params, iterations, increments, norm, residual)
+    "power": (
+        lambda: PerturbationModel.power(0.05, 0.8), HolderParams(0.5, 0.6), 6,
+        ["0x1.e149e4a5b1e1ep-3", "0x1.b8290f682eb22p-8",
+         "0x1.d66548caa9cfdp-16", "0x1.bc49a7ffb1871p-23",
+         "0x1.821a4eddeaab0p-29", "0x1.4445396e27d29p-35"],
+        "0x1.e1f701b0a98e8p-3", "0x1.a3d0a34380000p-26"),
+    "constant": (
+        lambda: PerturbationModel.constant(0.1), HolderParams(0.5, 0.0), 4,
+        ["0x1.fb0ae1f25392ep-2", "0x1.8d64af8da4628p-13",
+         "0x1.45cdd4418de3ap-24", "0x1.1d40c8ca8bc7ep-34"],
+        "0x1.fb1e9f8014c23p-2", "0x1.53a3bcba00000p-25"),
+}
+
+
+def _solve(model, params, tol=1e-9):
+    return solve_beltrami(model, params, R=0.2, tol=tol, rings=4,
+                          angular=16, radial=6, extra_rings=4)
+
+
+@pytest.mark.parametrize("name", SOLVES)
+def test_solve_beltrami_golden(name):
+    model, params, iterations, increments, norm, residual = SOLVES[name]
+    sol = _solve(model(), params)
+    assert sol.iterations == iterations
+    assert [x.hex() for x in sol.increments] == increments
+    assert sol.norm.hex() == norm
+    assert sol.residual.hex() == residual
+
+
+def test_contraction_study_golden():
+    study = contraction_study(PerturbationModel.power(0.05, 0.8),
+                              HolderParams(0.5, 0.6), [0.2], probes=2,
+                              rings=4, angular=16, radial=6, seed=1)
+    (row,) = study.rows
+    assert row.R == 0.2
+    assert row.j0_norm.hex() == "0x1.e14808e145268p-3"
+    assert row.lipschitz.hex() == "0x1.8eb956167ca75p-7"
+
+
+@pytest.mark.parametrize("name", SOLVES)
+def test_each_iteration_transforms_once(monkeypatch, name):
+    """J[0] serves both the threshold check and iteration 1, so a solve of
+    N iterations makes N transform_with_derivative calls."""
+    calls = []
+    transform = dbar.transform_with_derivative
+
+    def counting(f):
+        calls.append(f)
+        return transform(f)
+
+    monkeypatch.setattr(dbar, "transform_with_derivative", counting)
+    model, params = SOLVES[name][:2]
+    sol = _solve(model(), params)
+    assert len(calls) == sol.iterations
+
+
+def test_iteration_cap_still_checks_every_increment(monkeypatch):
+    monkeypatch.setattr(dbar, "MAX_ITERATIONS", 3)
+    model, params = SOLVES["power"][:2]
+    sol = _solve(model(), params, tol=1e-300)
+    assert sol.iterations == 3
+    assert [x.hex() for x in sol.increments] == SOLVES["power"][3][:3]
