@@ -382,17 +382,6 @@ def invert_transition(t: TruncatedTransition) -> TruncatedTransition:
     return TruncatedTransition(Y, Z)
 
 
-def roundtrip_defect(t: TruncatedTransition):
-    """Series defect of composing the germ with its inverse; exactly zero
-    when the truncated inversion is consistent (cocycle identity on the
-    two-chart cover)."""
-    inv = invert_transition(t)
-    Z1 = t.series_z.substitute(inv.series_z, inv.series_y)
-    Y1 = t.series_y.substitute(inv.series_z, inv.series_y)
-    K = t.order
-    return (Z1 - YSeries.identity_z(K), Y1 - YSeries.identity_y(K))
-
-
 def _base_step(t: TruncatedTransition, k: int, next_param: int):
     """Kill phi_k, whose class must vanish, and adjoin the order-k lifting
     family as parameters next_param, next_param + 1, ...

@@ -139,6 +139,14 @@ def _load_deck(args, examples, parse, default=None):
     return parse(text), text, f"example:{name}"
 
 
+def _fraction(flag, text):
+    """The rational value p or p/q given to option `flag`."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{flag} takes p or p/q, got {text!r}") from None
+
+
 def _input_digest(*settings):
     """Digest of a report's input: the deck text or the values of the
     options, and every further setting that changes the report."""
@@ -230,13 +238,14 @@ def cmd_rate(args):
         return 0
     if args.n is None or args.alpha is None or args.abs_weight is None:
         raise ParseError("provide a deck or --n --alpha --abs-weight")
+    alpha = _fraction("--alpha", args.alpha)
     rep = Report("rate", args.seed, _input_digest(
         args.n, args.alpha, args.abs_weight, args.compact))
-    rate = predicted_rate(RateInput(args.n, Fraction(args.alpha),
-                                    args.abs_weight, args.compact))
+    rate = predicted_rate(RateInput(args.n, alpha, args.abs_weight,
+                                    args.compact))
     sec = rep.section("rate")
     sec.add("n", args.n)
-    sec.add("alpha", Fraction(args.alpha))
+    sec.add("alpha", alpha)
     sec.add("|w|", args.abs_weight)
     sec.add("lambda", rate.lambda1)
     sec.add("metric rate", rate.metric_rate)
@@ -285,16 +294,19 @@ def _strvec(entry):
 
 def cmd_metric(args):
     pot = parse_potential(args.potential, args.dimD)
-    delta = Fraction(args.delta)
+    delta = _fraction("--delta", args.delta)
     parts = args.xi.split(",")
     if len(parts) > 2:
         raise ParseError(f"--xi takes re or re,im, got {args.xi!r}")
     xi = complex(*(float(x) for x in parts))
     if args.sweep:
-        k0, k1 = (int(x) for x in args.sweep.split(".."))
-        if k1 <= k0:
-            raise ParseError(f"--sweep k0..k1 needs k1 > k0, got "
-                             f"{args.sweep!r}")
+        try:
+            k0, k1 = (int(x) for x in args.sweep.split(".."))
+        except ValueError:
+            k0 = k1 = None
+        if k0 is None or k1 <= k0 or 2.0 ** (-2 * k1) == 0:
+            raise ParseError(f"--sweep takes k0..k1 with k0 < k1 and "
+                             f"2^-2k1 > 0, got {args.sweep!r}")
     chart = ConeChart(delta, args.dimD, (0.0,) * args.dimD, xi, pot)
     h = _env("CONEDEFORM_FD_STEP", float)
     rep = Report("metric", args.seed, _input_digest(
@@ -304,7 +316,7 @@ def cmd_metric(args):
     sec.add("delta", delta)
     sec.add("r", m.r)
     sec.add("g_00 (fiber)", m.g[0, 0].real)
-    sec.add("g_11 (base)", m.g[1, 1].real if args.dimD >= 1 else 0.0)
+    sec.add("g_11 (base)", m.g[1, 1].real)
     sec.add("Gamma^1_10", m.christoffels[1, 1, 0])
     sec.add("Gamma^0_00", m.christoffels[0, 0, 0])
     sec.add("|dz|", m.frame_norms["dz"])

@@ -271,12 +271,6 @@ def _slot(K, n):
     return n if K == 0 else K - 1
 
 
-def _exponent(n, hol=(), anti=()):
-    """Jet exponent of d_hol dbar_anti in (dz, dxi, dzbar, dxibar)."""
-    return wirtinger_exponent(2 * n + 2, [_slot(K, n) for K in hol],
-                              [_slot(L, n) for L in anti])
-
-
 def _ddbar(jet: Jet, n) -> np.ndarray:
     """The matrix d_I dbar_J of a jet in (dz, dxi, dzbar, dxibar)."""
     slots = [_slot(K, n) for K in range(n + 1)]
@@ -318,23 +312,6 @@ def metric_field(chart: ConeChart):
         return _ddbar(_phi_jet(chart, z, xi, order=2), n)
 
     return g_at
-
-
-def metric_derivatives(chart: ConeChart, z, xi):
-    """(g, dg, ddg): exact first/second holomorphic-antiholomorphic
-    derivatives of the metric components at (z, xi); dg[K,I,J] = d_K g_IJ,
-    ddg[K,L,I,J] = d_K dbar_L g_IJ."""
-    n = chart.dimD
-    jet = _phi_jet(chart, z, xi, order=4)
-    dg = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
-    ddg = np.zeros((n + 1, n + 1, n + 1, n + 1), dtype=complex)
-    for I in range(n + 1):
-        for J in range(n + 1):
-            for K in range(n + 1):
-                dg[K, I, J] = jet.partial(_exponent(n, (I, K), (J,)))
-                for L in range(n + 1):
-                    ddg[K, L, I, J] = jet.partial(_exponent(n, (I, K), (J, L)))
-    return _ddbar(jet, n), dg, ddg
 
 
 def scaling_exponent(t: TensorType, delta) -> Fraction:

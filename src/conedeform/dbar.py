@@ -24,9 +24,7 @@ holds the radius is split there by a Gauss sub-rule on the interpolated
 g_n, each part on the half of the modes it keeps.  Grid nodes synthesize
 the values, and d/dzeta from the same coefficients, by inverse FFT;
 arbitrary points synthesize by a phase sum per point.  Tf(0) needs only
-the ring integrals.  A plain polar-midpoint rule with the exact (vanishing)
-singular-cell integral is kept as the 'midpoint' scheme for the O(mesh^2)
-refinement check.
+the ring integrals.
 
 The checks differentiate transform values by the central differences of
 conedeform.fd, unextrapolated, at steps scaled by the radius or the mesh.
@@ -34,7 +32,7 @@ conedeform.fd, unextrapolated, at steps scaled by the radius or the mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,8 +60,7 @@ class DiskGrid:
     `radial` nodes and `angular` equispaced angles.  With puncture=False a
     center piece [0, R 2^-rings) is appended (full-disk quadrature)."""
 
-    def __init__(self, R, rings, angular, radial=8, puncture=True,
-                 scheme="gauss"):
+    def __init__(self, R, rings, angular, radial=8, puncture=True):
         if not (np.isfinite(R) and R > 0):
             raise ValueError(f"disk radius R must be finite and positive, "
                              f"got {R}")
@@ -77,35 +74,21 @@ class DiskGrid:
         self.rings = int(rings)
         self.angular = int(angular)
         self.radial = int(radial)
-        self.puncture = bool(puncture)
-        self.scheme = scheme
         bounds = [(self.R * 2.0 ** (-k), self.R * 2.0 ** (-k + 1))
                   for k in range(1, self.rings + 1)]
         if not puncture:
             bounds.append((0.0, self.R * 2.0 ** (-self.rings)))
         self.bounds = bounds
         lo, hi = np.array(bounds).T
-        if scheme == "gauss":
-            x, w = np.polynomial.legendre.leggauss(self.radial)
-            self.radii = lo[:, None] + (hi - lo)[:, None] * (x + 1) / 2
-            self.rweights = w * (hi - lo)[:, None] / 2
-            self.thetas = 2 * np.pi * np.arange(self.angular) / self.angular
-        elif scheme == "midpoint":
-            edges = np.linspace(lo, hi, self.radial + 1, axis=-1)
-            self.radii = (edges[:, :-1] + edges[:, 1:]) / 2
-            self.rweights = np.diff(edges)
-            self.thetas = 2 * np.pi * (np.arange(self.angular) + 0.5) / self.angular
-        else:
-            raise ValueError(scheme)
+        x, w = np.polynomial.legendre.leggauss(self.radial)
+        self.radii = lo[:, None] + (hi - lo)[:, None] * (x + 1) / 2
+        self.rweights = w * (hi - lo)[:, None] / 2
+        self.thetas = 2 * np.pi * np.arange(self.angular) / self.angular
         self._plan = None
 
     @property
     def nrings(self):
         return len(self.bounds)
-
-    @property
-    def inner_radius(self):
-        return self.R * 2.0 ** (-self.rings)
 
     def nodes(self):
         """Complex node array of shape (nrings, radial, angular)."""
@@ -152,7 +135,7 @@ def _regress(x, y):
 
 
 # ---------------------------------------------------------------------------
-# angular-exact transform machinery (gauss scheme)
+# angular-exact transform machinery
 
 _BLOCK = 2048   # targets per vectorized block: bounds the temporaries
 
@@ -227,17 +210,12 @@ def _ring_integrals(grid, plan, G):
 
 def _radial_coefficients(grid, G, rho):
     """(coeff, Tf(0)), coeff[u, n] with Tf(rho_u e^(i phi)) = sum_n coeff[u, n]
-    e^(i(n-1)phi) for distinct radii rho_u > 0.  The FFT modes are exact
-    only on the equispaced angles 2 pi k / M of the gauss scheme.
+    e^(i(n-1)phi) for distinct radii rho_u > 0.
 
     Rings wholly inside or outside rho_u enter through the ring integrals,
     accumulated ring to ring (ratio powers <= 1 only); the ring holding
     rho_u is split there by a Gauss sub-rule.  Tf(0) needs only the n = 1
     outer ring integrals."""
-    if grid.scheme != "gauss":
-        raise ValueError(f"the angular-exact transform needs the angles "
-                         f"2 pi k / M of the gauss scheme, not the "
-                         f"{grid.scheme} grid")
     plan = _plan(grid)
     K, M = grid.nrings, grid.angular
     J_in, J_out = _ring_integrals(grid, plan, G)
@@ -334,10 +312,7 @@ def modified_transform(f: DiskField) -> DiskField:
 
 def _transform(f: DiskField, modified: bool) -> DiskField:
     _check_integrable(f)
-    if f.grid.scheme == "midpoint":
-        out = _midpoint_transform(f.grid, f.values, modified)
-    else:
-        out, _ = _node_transform(f.grid, f.values, modified)
+    out, _ = _node_transform(f.grid, f.values, modified)
     return DiskField(f.grid, out, min(f.eta + 1, 1.0))
 
 
@@ -368,31 +343,6 @@ def transform_at(f: DiskField, pts, modified=True):
         vals[sl] = np.einsum("pm,pm->p", coeff[inv[sl]], phase)
     if modified:
         vals -= t0
-    return vals
-
-
-def _midpoint_transform(grid, V, modified):
-    """Tf or Ttilde f values by the polar midpoint rule; the singular cell
-    is replaced by the exact integral over the equal-area disk centered at
-    the node, which is 0."""
-    nodes = grid.nodes().ravel()
-    r = grid.radii[:, :, None] * np.ones_like(grid.thetas)[None, None, :]
-    w = (grid.rweights[:, :, None] * np.ones_like(grid.thetas)[None, None, :]
-         * (2 * np.pi / grid.angular)) * grid.radii[:, :, None]
-    w = w.ravel()
-    src = V.ravel()
-    out = np.empty_like(src)
-    chunk = 512
-    for i0 in range(0, len(nodes), chunk):
-        tgt = nodes[i0:i0 + chunk, None]
-        diff = tgt - nodes[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ker = np.where(diff == 0, 0.0, 1.0 / np.where(diff == 0, 1.0, diff))
-        out[i0:i0 + chunk] = (ker * (w * src)[None, :]).sum(axis=1) / np.pi
-    vals = out.reshape(grid.shape())
-    if modified:
-        t0 = (-(w * src / nodes).sum()) / np.pi
-        vals = vals - t0
     return vals
 
 
@@ -537,8 +487,11 @@ class PerturbationModel:
 
     def validate_on(self, grid):
         z = grid.nodes()
+        a = self.a(z)
+        if not np.isfinite(a).all():
+            raise ValueError("a is not finite on the grid")
         bound = self.smallness * np.abs(z) ** self.eta
-        if np.any(np.abs(self.a(z)) > bound * (1 + 1e-9) + 1e-300):
+        if np.any(np.abs(a) > bound * (1 + 1e-9) + 1e-300):
             raise ValueError("|a| exceeds smallness * |zeta|^eta on the grid")
 
 
@@ -593,7 +546,7 @@ def solve_beltrami(model: PerturbationModel, p: HolderParams, R, tol=1e-10,
     # threshold check on the weighted sup of J[0]; the full Hoelder norm is
     # reported by contraction_study
     j0_sup = weighted_sup(declared(zf_new), p.nu + 1)
-    if j0_sup > CONTRACTION_THRESHOLD:
+    if not j0_sup <= CONTRACTION_THRESHOLD:
         raise PreconditionFailure(
             f"weighted sup of J[0] = {j0_sup:.3g} exceeds the contraction "
             f"threshold {CONTRACTION_THRESHOLD}; reduce R or the perturbation")

@@ -49,12 +49,6 @@ def _wirtinger(f, w, h, richardson):
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
-def first(f, x, h, richardson=True):
-    """Central difference df/dx at x, along the real axis."""
-    _check_step(h)
-    return _extrapolate(lambda h: _central(f, x, h, (1,)), h, richardson)[0]
-
-
 def second(f, x, h, richardson=True):
     """Central second difference d^2f/dx^2 at x, along the real axis."""
     _check_step(h)

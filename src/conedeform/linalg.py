@@ -75,10 +75,6 @@ def _subtract(v, c, row, skip):
                 del v[j]
 
 
-def rank(rows) -> int:
-    return len(row_echelon(rows)[1])
-
-
 def reduce_against(vec, ech, pivots):
     """Residual of vec after elimination by an echelon basis.
 

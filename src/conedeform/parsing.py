@@ -415,8 +415,11 @@ def parse_potential(text, dimD=None):
     e.g. '1 + |z|^2' or '2 - 1/3*z1*zbar1 + |z2|^2'.  Indices run from 1
     to dimD; without dimD, up to the largest index used."""
     from .cone_metric import Potential
+    if dimD is not None and dimD < 1:
+        raise ParseError(f"dimD must be at least 1, got {dimD}")
     terms = _sum(_Scanner(text), lambda sc: _potential_factor(sc, dimD))
-    n = dimD or max((idx for _, f in terms for idx, _ in f), default=1)
+    n = dimD if dimD is not None else max(
+        (idx for _, f in terms for idx, _ in f), default=1)
     # z_i is variable i, zbar_i variable n + i
     slots = [(c, {idx + n * bar: exp for (idx, bar), exp in f.items()})
              for c, f in terms]

@@ -216,17 +216,6 @@ def monomials_of_degree(nvars, d):
     return out
 
 
-def count_monomials(nvars, d):
-    if d < 0:
-        return 0
-    num = 1
-    den = 1
-    for i in range(nvars - 1):
-        num *= d + 1 + i
-        den *= i + 1
-    return num // den
-
-
 def format_poly(p: Polynomial, names=None) -> str:
     """Render in the input-file grammar, e.g. ``z1^3+1/2*z1*z2-z3^2``."""
     if p.is_zero():

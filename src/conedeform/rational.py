@@ -196,5 +196,4 @@ def gaussian_sqrt(s: GaussianRational):
     return GaussianRational(x, y)
 
 
-ONE = GaussianRational(1)
 I = GaussianRational(0, 1)

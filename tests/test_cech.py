@@ -7,11 +7,12 @@ from conedeform.cech import (CoboundaryWindow, NotNormalizedError,
                              TruncationExhaustedError, TruncatedTransition,
                              apply_y_step, apply_z_step,
                              comfortable_obstruction, h1_class,
+                             invert_transition,
                              lift_params, linear_transition, normalize,
                              p1p1_diagonal, p2_conic, splitting_obstruction,
                              weight_from_order, with_lifting_family,
                              PARAM_NAMES)
-from conedeform.laurent import LaurentPoly
+from conedeform.laurent import LaurentPoly, YSeries
 from conedeform.poly import Polynomial, format_poly
 from conedeform.rational import GaussianRational
 
@@ -266,8 +267,18 @@ def _flip(L, gamma0):
                         for e, c in L.coeffs.items()})
 
 
+def roundtrip_defect(t: TruncatedTransition):
+    """Series defect of composing the germ with its inverse; exactly zero
+    when the truncated inversion is consistent (cocycle identity on the
+    two-chart cover)."""
+    inv = invert_transition(t)
+    Z1 = t.series_z.substitute(inv.series_z, inv.series_y)
+    Y1 = t.series_y.substitute(inv.series_z, inv.series_y)
+    K = t.order
+    return (Z1 - YSeries.identity_z(K), Y1 - YSeries.identity_y(K))
+
+
 def test_invert_transition_roundtrip_exact():
-    from conedeform.cech import invert_transition, roundtrip_defect
     for t in (p1p1_diagonal(5), p2_conic(5),
               linear_transition(GR(Fraction(3, 2)), 3, 5)):
         dz, dy = roundtrip_defect(t)
@@ -285,7 +296,6 @@ def test_cocycle_identity_on_two_chart_cover():
         phi_k(z) + phihat_k(phi0(z)) c_1(z)^k phi0'(z) = 0     (base),
 
     which we verify exactly for the worked germs."""
-    from conedeform.cech import invert_transition
     # normal-valued cochain of the diagonal at order 1
     t = p1p1_diagonal(5)
     inv = invert_transition(t)

@@ -173,6 +173,11 @@ def test_malformed_env_override_is_input_error(capsys, monkeypatch, name,
     ["--potential", "1+|z|^2", "--sweep", "3..1"],
     ["--potential", "1+|z|^2", "--xi", "nan"],
     ["--potential", "1+|z|^2", "--xi", "1e-200"],
+    ["--potential", "1+|z|^2", "--delta", "1/0"],
+    ["--dimD", "-1", "--potential", "1+|z|^2"],
+    ["--dimD", "0", "--potential", "1+|z|^2"],
+    ["--potential", "1+|z|^2", "--sweep", "2000..2001"],
+    ["--potential", "1+|z|^2", "--sweep", "1"],
 ])
 def test_metric_bad_input_is_input_error(capsys, argv):
     code = main(["metric", "--delta", "1/2", *argv])
@@ -180,6 +185,16 @@ def test_metric_bad_input_is_input_error(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("input error:")
+
+
+@pytest.mark.parametrize("alpha", ["1/0", "x"])
+def test_rate_bad_alpha_is_input_error(capsys, alpha):
+    code = main(["rate", "--n", "3", "--alpha", alpha, "--abs-weight", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert "--alpha" in captured.err
 
 
 @pytest.mark.parametrize("param", ["alpha=1/0", "n=x"])

@@ -8,18 +8,42 @@ import pytest
 
 from conedeform.cone_metric import (ConeChart, NotNormalizedChart,
                                     Potential, ROUNDOFF_C, TENSOR_TYPES,
-                                    TensorType, _exponent, _fd_jacobian,
-                                    _moved,
+                                    TensorType, _ddbar, _fd_jacobian,
+                                    _moved, _phi_jet, _slot,
                                     calabi_exponent, christoffels_fd,
                                     curvature_check, empirical_scaling_slope,
                                     fd_mixed_wirtinger,
                                     fubini_study_potential, metric_at,
-                                    metric_derivatives, metric_field,
+                                    metric_field,
                                     normalize_chart, random_normalized_chart,
                                     scaling_exponent, tensor_norm,
                                     tian_yau_exponent, basis_tensor,
                                     JetPotential)
 from conedeform.jets import Jet, conjugate_exponent, wirtinger_exponent
+
+
+def _exponent(n, hol=(), anti=()):
+    """Jet exponent of d_hol dbar_anti in (dz, dxi, dzbar, dxibar)."""
+    return wirtinger_exponent(2 * n + 2, [_slot(K, n) for K in hol],
+                              [_slot(L, n) for L in anti])
+
+
+def metric_derivatives(chart: ConeChart, z, xi):
+    """(g, dg, ddg): exact first/second holomorphic-antiholomorphic
+    derivatives of the metric components at (z, xi) from the order-4 jet of
+    the potential; dg[K,I,J] = d_K g_IJ, ddg[K,L,I,J] = d_K dbar_L g_IJ.
+    The exact oracle of the FD Jacobians."""
+    n = chart.dimD
+    jet = _phi_jet(chart, z, xi, order=4)
+    dg = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
+    ddg = np.zeros((n + 1, n + 1, n + 1, n + 1), dtype=complex)
+    for I in range(n + 1):
+        for J in range(n + 1):
+            for K in range(n + 1):
+                dg[K, I, J] = jet.partial(_exponent(n, (I, K), (J,)))
+                for L in range(n + 1):
+                    ddg[K, L, I, J] = jet.partial(_exponent(n, (I, K), (J, L)))
+    return _ddbar(jet, n), dg, ddg
 
 
 def test_calabi_exponent_values():

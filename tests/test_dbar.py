@@ -176,7 +176,7 @@ def test_kernel_matches_per_point_reference(puncture):
     radii = np.concatenate([
         grid.R * np.sqrt(rng.uniform(0, 1.2, 400)),            # interior
         [b for lo_hi in grid.bounds for b in lo_hi if b > 0],  # lo and hi
-        grid.inner_radius * rng.uniform(0.01, 1, 20)])         # the hole
+        grid.R * 2.0 ** -grid.rings * rng.uniform(0.01, 1, 20)])  # the hole
     pts = radii * np.exp(1j * phis[:len(radii)])
     pts = np.concatenate([pts, -pts])       # shared radii, other phases
     ref, _, t0 = _reference(grid, F.values, pts)
@@ -184,11 +184,52 @@ def test_kernel_matches_per_point_reference(puncture):
     assert _close(transform_at(F, pts), ref - t0)
 
 
+@pytest.mark.parametrize("k", [1, 5, 11])
+def test_transforms_commute_with_grid_rotations(k):
+    """For the rotation R by theta = 2 pi k / M, which maps the grid to
+    itself, T[f o R](zeta) = e^(i theta) (Tf)(R zeta), for the modified
+    transform too; the weighted norm does not change."""
+    grid = _grid(rings=6, angular=32, radial=6)
+    F = DiskField.from_function(
+        grid, lambda z: np.conj(z) * np.exp(0.5 * z.real) + 0.3j * z ** 3)
+    rotated = DiskField(grid, np.roll(F.values, -k, axis=-1))
+    phase = np.exp(2j * np.pi * k / grid.angular)
+    for transform in (cauchy_transform, modified_transform):
+        want = phase * np.roll(transform(F).values, -k, axis=-1)
+        assert _close(transform(rotated).values, want, rel=1e-12)
+    p = HolderParams(0.5, 0.3)
+    assert math.isclose(weighted_norms(rotated, p).total,
+                        weighted_norms(F, p).total, rel_tol=1e-12)
+
+
 def test_quadrature_divergence_flag():
     grid = _grid()
     f = DiskField.from_function(grid, np.conj, eta=-1.2)
     with pytest.raises(QuadratureDivergence):
         cauchy_transform(f)
+
+
+def _midpoint_transform(grid, fn):
+    """(nodes, Tf) by the polar midpoint rule on the annuli of `grid`:
+    `radial` equal radial cells per ring and angles 2 pi (k + 1/2) / M.
+    The singular cell is replaced by the exact integral over the
+    equal-area disk centered at the node, which is 0."""
+    lo, hi = np.array(grid.bounds).T
+    edges = np.linspace(lo, hi, grid.radial + 1, axis=-1)
+    radii = ((edges[:, :-1] + edges[:, 1:]) / 2)[:, :, None]
+    thetas = 2 * np.pi * (np.arange(grid.angular) + 0.5) / grid.angular
+    nodes = radii * np.exp(1j * thetas[None, None, :])
+    w = np.diff(edges)[:, :, None] * (2 * np.pi / grid.angular) * radii
+    w = np.broadcast_to(w, nodes.shape).ravel()
+    pts = nodes.ravel()
+    src = w * np.asarray(fn(nodes), dtype=complex).ravel()
+    out = np.empty_like(pts)
+    chunk = 512
+    for i0 in range(0, len(pts), chunk):
+        diff = pts[i0:i0 + chunk, None] - pts[None, :]
+        ker = np.where(diff == 0, 0.0, 1.0 / np.where(diff == 0, 1.0, diff))
+        out[i0:i0 + chunk] = (ker * src[None, :]).sum(axis=1) / np.pi
+    return nodes, out.reshape(nodes.shape)
 
 
 def test_midpoint_matches_fourier_on_smooth_bump():
@@ -200,29 +241,14 @@ def test_midpoint_matches_fourier_on_smooth_bump():
     ref_field = DiskField.from_function(ref_grid, bump)
     errs = []
     for mult in (1, 2, 4):
-        g = DiskGrid(R, 6, 16 * mult, 4 * mult, scheme="midpoint")
-        F = DiskField.from_function(g, bump)
-        T = cauchy_transform(F)
-        ref = transform_at(ref_field, g.nodes().ravel(),
-                           modified=False).reshape(g.shape())
-        errs.append(np.abs(T.values - ref).max())
+        nodes, T = _midpoint_transform(DiskGrid(R, 6, 16 * mult, 4 * mult),
+                                       bump)
+        ref = transform_at(ref_field, nodes.ravel(),
+                           modified=False).reshape(nodes.shape)
+        errs.append(np.abs(T - ref).max())
     order1 = math.log(errs[0] / errs[1]) / math.log(2)
     order2 = math.log(errs[1] / errs[2]) / math.log(2)
     assert order1 > 1.5 and order2 > 1.5
-
-
-def test_angular_exact_kernel_refuses_midpoint_grids():
-    """The kernel's FFT assumes the angles 2 pi k / M; a midpoint grid has
-    2 pi (k + 1/2) / M, which would give a wrong value, not an error."""
-    g = _grid(scheme="midpoint")
-    F = DiskField.from_function(g, lambda z: np.conj(z) ** 2 + z)
-    with pytest.raises(ValueError, match="gauss scheme"):
-        transform_at(F, [0.2 + 0.1j], modified=False)
-    with pytest.raises(ValueError, match="gauss scheme"):
-        transform_with_derivative(F)
-    # the midpoint transform itself and the norms still run on it
-    assert np.isfinite(modified_transform(F).values).all()
-    assert weighted_norms(F, HolderParams(0.5, 0.0)).total > 0
 
 
 def test_disk_grid_needs_a_radial_node():
@@ -409,8 +435,28 @@ def test_nonfinite_model_or_weight_is_rejected(make):
         make()
 
 
-def test_beltrami_nonfinite_increment_is_contraction_failure():
+def test_beltrami_rejects_nan_model():
     model = PerturbationModel(lambda z: np.full_like(z, np.nan), 0.0, 0.1)
+    with pytest.raises(ValueError, match="not finite"):
+        model.validate_on(_grid())
+    with pytest.raises(ValueError, match="not finite"):
+        solve_beltrami(model, HolderParams(0.5, 0.0), R=0.3, rings=4,
+                       angular=16, radial=6, extra_rings=4)
+
+
+def test_beltrami_nan_j0_is_precondition_failure(monkeypatch):
+    monkeypatch.setattr(dbar, "weighted_sup", lambda f, w: math.nan)
+    with pytest.raises(PreconditionFailure):
+        solve_beltrami(PerturbationModel.constant(0.01),
+                       HolderParams(0.5, 0.0), R=0.3, rings=4, angular=16,
+                       radial=6, extra_rings=4)
+
+
+def test_beltrami_nonfinite_increment_is_contraction_failure():
+    # finite on the grid, so it passes validate_on; NaN at the points
+    # zeta + zfrak that the first iterate moves past |zeta| = 0.3
+    model = PerturbationModel(
+        lambda z: np.where(np.abs(z) < 0.3, 0.1 + 0j, np.nan), 0.0, 0.1)
     with pytest.raises(dbar.ContractionFailure, match="not finite"):
         solve_beltrami(model, HolderParams(0.5, 0.0), R=0.3, rings=4,
                        angular=16, radial=6, extra_rings=4)

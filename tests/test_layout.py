@@ -3,13 +3,16 @@ quotient is formed in fd.py, cone_metric builds no jet exponent by
 hand (it goes through jets.wirtinger_exponent), every power by
 square-and-multiply is rational.power, and the Beltrami source
 -a(zeta + zfrak) (1 + conj(d zfrak)) is formed only in
-dbar._beltrami_source."""
+dbar._beltrami_source.  src keeps only what the package, the bench or
+the demos reach, plus a named library API; test oracles live in the
+tests."""
 
 import ast
 import pathlib
 import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "conedeform"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "conedeform"
 
 QUOTIENT = re.compile(r"/ \((2 \* h|h \* h)")
 HAND_EXPONENT = re.compile(r"\[0\] \* (\(2 \* n|nv\b)")
@@ -70,3 +73,81 @@ def test_patterns_catch_the_forms_they_guard():
     assert HALVING.search("        k >>= 1")
     assert not HALVING.search("        kk >>= 1")
     assert BELTRAMI_FACTOR.search("gv = -a(zeta + zf) * (1.0 + np.conj(dzf))")
+
+
+# Top-level names that nothing in src, bench/ or demos/ calls, kept as the
+# library's entry points to results of the paper that the tests check.
+LIBRARY_API = {
+    "calabi_exponent": "Ricci-flat exponent mu/(dimD + 1) of the ansatz",
+    "tian_yau_exponent": "exponent (alpha - 1)/n of the Tian-Yau metric",
+    "normalize_chart": "brings a chart to the form the metric formulas use",
+    "cauchy_transform": "the unmodified transform T, with T(1) = conj(zeta)",
+    "weighted_bound_ratio": "measured constant of the weighted bound on "
+                            "Ttilde",
+    "with_lifting_family": "adjoins an order's lifting family once its "
+                           "obstruction vanishes",
+    "linear_transition": "the product-type germ, without obstructions",
+    "parse_polynomial": "one polynomial in the deck grammar",
+    "invert_transition": "the chart swap of a transition germ",
+}
+
+DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def _references(tree):
+    """(name, line) for every identifier used in a module: names,
+    attributes, imports, and the parts of dotted-name strings (such as the
+    bench's layer list)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def _unreferenced(labels, users):
+    """Top-level functions and classes of the modules `labels` that no
+    module of `users` (label -> source text, the modules included)
+    references outside the definition itself."""
+    trees = {label: ast.parse(text) for label, text in users.items()}
+    refs = {}
+    for label, tree in trees.items():
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((label, line))
+    out = set()
+    for label in labels:
+        for node in trees[label].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not any(
+                    where != label or not node.lineno <= line <= node.end_lineno
+                    for where, line in refs.get(node.name, ())):
+                out.add(node.name)
+    return out
+
+
+def _sources(*dirs):
+    return {str(path): path.read_text() for d in dirs
+            for path in sorted(d.glob("*.py"))
+            if not path.name.startswith("test_")}
+
+
+def test_src_keeps_only_what_is_reached():
+    modules = _sources(SRC)
+    users = {**modules, **_sources(REPO / "bench", REPO / "demos")}
+    assert len(modules) > 10 and len(users) > len(modules) + 5
+    found = _unreferenced(modules, users)
+    assert found - set(LIBRARY_API) == set()
+    assert set(LIBRARY_API) <= found, set(LIBRARY_API) - found
+
+
+def test_unreferenced_scan_flags_a_planted_name():
+    planted = {"planted.py": "def orphan(n):\n    return orphan(n - 1)\n\n\n"
+                             "def used():\n    return 1\n\n\n"
+                             "class Orphan:\n    pass\n",
+               "user.py": "LAYERS = [('planted', 'used')]\n"}
+    assert _unreferenced(["planted.py"], planted) == {"orphan", "Orphan"}

@@ -528,6 +528,12 @@ def test_potential_index_above_dimd_is_an_error():
     assert parse_potential("1+|z2|^2").dimD == 2
 
 
+@pytest.mark.parametrize("dimD", [0, -1])
+def test_potential_needs_a_positive_dimd(dimD):
+    with pytest.raises(ParseError, match="dimD must be at least 1"):
+        parse_potential("1+|z|^2", dimD)
+
+
 @pytest.mark.parametrize("param, value", [("alpha", "1/0"), ("alpha", "x"),
                                           ("n", "x"), ("n", "3/2")])
 def test_bad_params_value_is_a_parse_error(param, value):
