@@ -328,7 +328,12 @@ def cmd_metric(args):
         sw = rep.section("scaling sweep")
         for kind, ttype in TENSOR_TYPES.items():
             pred = scaling_exponent(ttype, delta)
-            slope = empirical_scaling_slope(chart, kind, range(k0, k1 + 1))
+            try:
+                slope = empirical_scaling_slope(chart, kind,
+                                                range(k0, k1 + 1))
+            except ValueError as exc:
+                raise ParseError(f"--sweep {args.sweep} leaves the float "
+                                 f"range: {exc}") from None
             sw.add(f"{kind} predicted", pred)
             sw.add(f"{kind} empirical", slope)
     _emit(rep, args)

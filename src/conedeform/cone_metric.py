@@ -57,6 +57,7 @@ class Potential:
             if poly.terms.get(conjugate_exponent(e), None) != c:
                 raise ValueError("potential is not real-valued "
                                  "(coefficients not mirror-symmetric)")
+        self._walks = {}
 
     @staticmethod
     def from_terms(dimD, terms):
@@ -66,33 +67,42 @@ class Potential:
         vals = list(z) + [complex(v).conjugate() for v in z]
         return complex(self.poly.evaluate(vals))
 
-    def jet(self, z, order=4) -> Jet:
-        """Taylor jet of a at z in the 2*dimD shift variables (dz, dzbar)."""
-        n = self.dimD
-        vals = list(map(complex, z)) + [complex(v).conjugate() for v in z]
-        out = {}
-        # iterative differentiation, collecting coefficients /(p! q!)
-        zero = wirtinger_exponent(2 * n)
-        frontier = [(zero, self.poly)]
-        seen = {zero}
-        while frontier:
-            e, p = frontier.pop()
-            coeff = complex(p.evaluate(vals))
-            if coeff != 0:
+    def _walk(self, order):
+        """[(e, d^e a, 1/e!)] for every exponent e of total degree <= order,
+        in the order of an iterative differentiation; built once per order,
+        since it does not depend on the point."""
+        if order not in self._walks:
+            walk = []
+            zero = wirtinger_exponent(2 * self.dimD)
+            frontier = [(zero, self.poly)]
+            seen = {zero}
+            while frontier:
+                e, p = frontier.pop()
                 scale = 1.0
                 for k in e:
                     scale /= math.factorial(k)
+                walk.append((e, p, scale))
+                if sum(e) >= order:
+                    continue
+                for i in range(len(e)):
+                    e2 = list(e)
+                    e2[i] += 1
+                    e2 = tuple(e2)
+                    if e2 not in seen:
+                        seen.add(e2)
+                        frontier.append((e2, p.derivative(i)))
+            self._walks[order] = walk
+        return self._walks[order]
+
+    def jet(self, z, order=4) -> Jet:
+        """Taylor jet of a at z in the 2*dimD shift variables (dz, dzbar)."""
+        vals = list(map(complex, z)) + [complex(v).conjugate() for v in z]
+        out = {}
+        for e, p, scale in self._walk(order):
+            coeff = complex(p.evaluate(vals))
+            if coeff != 0:
                 out[e] = coeff * scale
-            if sum(e) >= order:
-                continue
-            for i in range(2 * n):
-                e2 = list(e)
-                e2[i] += 1
-                e2 = tuple(e2)
-                if e2 not in seen:
-                    seen.add(e2)
-                    frontier.append((e2, p.derivative(i)))
-        return Jet(2 * n, order, out)
+        return Jet(2 * self.dimD, order, out)
 
 
 def fubini_study_potential(dimD: int = 1) -> Potential:
@@ -370,7 +380,10 @@ TENSOR_TYPES = {
 
 def empirical_scaling_slope(chart_proto: ConeChart, kind: str,
                             k_range=range(1, 9)) -> float:
-    """log-log slope of |T|_cone/|T|_smooth over xi = 2^-k."""
+    """log-log slope of |T|_cone/|T|_smooth over xi = 2^-k.
+
+    Raises ValueError when a norm ratio is not finite and positive, as
+    happens once the powers of |xi| leave the float range."""
     gfun = metric_field(chart_proto)
     gtil = comparison_metric_field(chart_proto)
     T = basis_tensor(kind, chart_proto.dimD)
@@ -380,6 +393,9 @@ def empirical_scaling_slope(chart_proto: ConeChart, kind: str,
         g = gfun(chart_proto.z, xi)
         gt = gtil(chart_proto.z, xi)
         ratio = tensor_norm(T, g) / tensor_norm(T, gt)
+        if not 0 < ratio < math.inf:
+            raise ValueError(f"the {kind} norm ratio at xi = 2^-{k} is "
+                             f"{ratio}, not finite and positive")
         xs.append(math.log(xi))
         ys.append(math.log(ratio))
     return _slope(xs, ys)
@@ -437,6 +453,20 @@ def christoffels_fd(chart: ConeChart, h=1e-5) -> np.ndarray:
     return np.einsum("lk,ijl->kij", ginv, dg)
 
 
+def _memoized(gfun):
+    """gfun evaluated once per point, keyed on the exact coordinates: an FD
+    quotient gets the same value from the memo as from a fresh call."""
+    values = {}
+
+    def g_at(z, xi):
+        key = (*z, xi)
+        if key not in values:
+            values[key] = gfun(z, xi)
+        return values[key]
+
+    return g_at
+
+
 @dataclass
 class CurvatureReport:
     max_riemann: float | None
@@ -460,6 +490,12 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
     are finite differences, so the check is independent of the closed
     formulas.  With full_riemann=True the whole FD curvature tensor
     R_(i jbar k lbar) = -dd g + g^(-1) dg dg is reported (flat test).
+
+    The metric field is evaluated once per distinct stencil point of a
+    grid point: the (K, L) and (L, K) mixed stencils, the diagonal second
+    differences, the FD Jacobian and the Riemann stencils read one memo
+    keyed on the exact coordinates, so every difference quotient uses the
+    values a fresh evaluation gives.
 
     h is the FD step of every stencil.  The error of a second difference
     is truncation ~ h^p plus roundoff ~ eps |f| / h^2; the default 1e-3
@@ -491,13 +527,16 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
                 ((-0.15 + 0.02j,) * n, 1.1 - 0.3j),
                 ((0.1 - 0.08j,) * n, 0.75)]
     chart = ConeChart(Fraction(delta), n, (0,) * n, 1.0, potential)
-    gfun = metric_field(chart)
+    field_at = metric_field(chart)
     max_riem = 0.0
     max_defect = 0.0
     converged = True
     notes = []
     for z0, xi0 in grid:
         coords = list(map(complex, z0)) + [complex(xi0)]
+        # the stencils below share most of their points; one memo per grid
+        # point keeps the memory bounded
+        gfun = _memoized(field_at)
 
         # base Hessian of log a (exact), for the target Ricci
         a_jet = potential.jet(z0, 2)

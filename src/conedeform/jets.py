@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import add
 
 
 def wirtinger_exponent(nvars, hol=(), anti=()):
@@ -46,6 +47,17 @@ class Jet:
         for e, c in (coeffs or {}).items():
             if c != 0 and sum(e) <= order:
                 self.coeffs[tuple(e)] = self.coeffs.get(tuple(e), 0.0) + c
+
+    @staticmethod
+    def _trusted(nvars, order, coeffs):
+        """A jet from a dict that is already clean: tuple exponents of total
+        degree <= order, each once, every value already accumulated onto
+        0.0.  Only zero coefficients are dropped."""
+        jet = object.__new__(Jet)
+        jet.nvars = nvars
+        jet.order = order
+        jet.coeffs = {e: c for e, c in coeffs.items() if c != 0}
+        return jet
 
     @staticmethod
     def constant(nvars, order, c):
@@ -80,17 +92,22 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.nvars, self.order,
-                       {e: c * other for e, c in self.coeffs.items()})
+            # onto 0.0 as the validating constructor does: it clears the
+            # sign of a zero part
+            return Jet._trusted(self.nvars, self.order,
+                                {e: 0.0 + c * other
+                                 for e, c in self.coeffs.items()})
+        order = self.order
+        right = [(e2, sum(e2), c2) for e2, c2 in other.coeffs.items()]
         t = {}
         for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            for e2, c2 in other.coeffs.items():
-                if d1 + sum(e2) > self.order:
+            room = order - sum(e1)
+            for e2, d2, c2 in right:
+                if d2 > room:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 t[e] = t.get(e, 0.0) + c1 * c2
-        return Jet(self.nvars, self.order, t)
+        return Jet._trusted(self.nvars, order, t)
 
     __rmul__ = __mul__
 

@@ -187,6 +187,18 @@ def test_metric_bad_input_is_input_error(capsys, argv):
     assert captured.err.startswith("input error:")
 
 
+def test_metric_sweep_past_float_range_is_input_error(capsys):
+    # at xi = 2^-400 the metric powers of |xi| overflow long before
+    # 2^-2k underflows; the slopes would read nan
+    code = main(["metric", "--delta", "1/2", "--potential", "1+|z|^2",
+                 "--sweep", "400..401", "--format", "kv"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error: --sweep 400..401")
+    assert "xi = 2^-400" in captured.err
+
+
 @pytest.mark.parametrize("alpha", ["1/0", "x"])
 def test_rate_bad_alpha_is_input_error(capsys, alpha):
     code = main(["rate", "--n", "3", "--alpha", alpha, "--abs-weight", "1"])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conedeform import cone_metric
 from conedeform.cone_metric import (ConeChart, NotNormalizedChart,
                                     Potential, ROUNDOFF_C, TENSOR_TYPES,
                                     TensorType, _ddbar, _fd_jacobian,
@@ -125,6 +126,13 @@ def test_scaling_slopes_match_prediction():
         pred = float(scaling_exponent(ttype, Fraction(1, 2)))
         slope = empirical_scaling_slope(ch, kind)
         assert abs(slope - pred) <= max(0.01, 0.01 * abs(pred)) + 1e-12
+
+
+def test_scaling_slope_refuses_overflowed_norms():
+    # at xi = 2^-400 the powers of |xi| in g leave the float range
+    ch = ConeChart(Fraction(1, 2), 1, (0,), 1.0, fubini_study_potential(1))
+    with pytest.raises(ValueError, match=r"xi = 2\^-400 is nan"):
+        empirical_scaling_slope(ch, "vh", range(400, 402))
 
 
 def test_curvature_flat_cone():
@@ -384,3 +392,197 @@ def test_fd_metric_derivatives_match_exact_jets(dimD, seed):
         tol = np.abs(g).max() * (TRUNCATION_C * h ** 4
                                  + ROUNDOFF_C * eps / h ** k)
         assert np.abs(fd_value - exact).max() <= tol
+
+
+# -- the fast jet paths against the validating paths they replaced ---------
+# Potential.jet reads a cached differentiation walk and Jet products skip
+# the validating constructor; both must give the old coefficients bit for
+# bit and in the old dict order.
+
+
+def _oracle_jet_coeffs(nvars, order, coeffs):
+    """The validating Jet constructor: truncate at order, accumulate onto
+    0.0, drop zeros."""
+    out = {}
+    for e, c in coeffs.items():
+        if c != 0 and sum(e) <= order:
+            out[tuple(e)] = out.get(tuple(e), 0.0) + c
+    return out
+
+
+def _oracle_product(a, b):
+    """Jet * Jet or Jet * scalar through the validating constructor."""
+    if not isinstance(b, Jet):
+        return _oracle_jet_coeffs(a.nvars, a.order,
+                                  {e: c * b for e, c in a.coeffs.items()})
+    t = {}
+    for e1, c1 in a.coeffs.items():
+        d1 = sum(e1)
+        for e2, c2 in b.coeffs.items():
+            if d1 + sum(e2) > a.order:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            t[e] = t.get(e, 0.0) + c1 * c2
+    return _oracle_jet_coeffs(a.nvars, a.order, t)
+
+
+def _oracle_potential_jet(pot, z, order):
+    """Taylor jet of a Potential by a frontier walk that differentiates the
+    polynomial at every call."""
+    n = pot.dimD
+    vals = list(map(complex, z)) + [complex(v).conjugate() for v in z]
+    out = {}
+    zero = wirtinger_exponent(2 * n)
+    frontier = [(zero, pot.poly)]
+    seen = {zero}
+    while frontier:
+        e, p = frontier.pop()
+        coeff = complex(p.evaluate(vals))
+        if coeff != 0:
+            scale = 1.0
+            for k in e:
+                scale /= math.factorial(k)
+            out[e] = coeff * scale
+        if sum(e) >= order:
+            continue
+        for i in range(2 * n):
+            e2 = list(e)
+            e2[i] += 1
+            e2 = tuple(e2)
+            if e2 not in seen:
+                seen.add(e2)
+                frontier.append((e2, p.derivative(i)))
+    return Jet(2 * n, order, out)
+
+
+def _bits(coeffs):
+    """Exponents in dict order with the exact bits and type of each value."""
+    return [(e, type(c), complex(c).real.hex(), complex(c).imag.hex())
+            for e, c in coeffs.items()]
+
+
+def _random_mirror_potential(rng, n):
+    terms = {wirtinger_exponent(2 * n): Fraction(1)}
+    for _ in range(5):
+        hol = [rng.randrange(n) for _ in range(rng.randrange(3))]
+        anti = [rng.randrange(n) for _ in range(rng.randrange(3))]
+        c = Fraction(rng.randrange(-6, 7), rng.randrange(1, 9))
+        e = wirtinger_exponent(2 * n, hol, anti)
+        for key in {e, conjugate_exponent(e)}:
+            terms[key] = terms.get(key, 0) + c
+    return Potential.from_terms(n, terms)
+
+
+def _random_coeff(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        # small integers make exact cancellations, so zeros get dropped
+        return float(rng.choice((-2, -1, 1, 2)))
+    if kind == 1:
+        return complex(rng.choice((-0.0, 0.0, 1.0, -1.0)),
+                       rng.choice((-0.0, 0.0, 1.0, -1.0)))
+    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+def _random_jet(rng, nvars, order):
+    coeffs = {tuple(rng.randrange(order + 1) for _ in range(nvars)):
+              _random_coeff(rng) for _ in range(rng.randrange(1, 10))}
+    return Jet(nvars, order, coeffs)
+
+
+@pytest.mark.parametrize("dimD", [1, 2])
+def test_potential_jet_matches_frontier_walk(dimD):
+    rng = random.Random(40 + dimD)
+    for _ in range(6):
+        pot = _random_mirror_potential(rng, dimD)
+        # several points and interleaved orders reuse the cached walks
+        for _ in range(3):
+            z = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for _ in range(dimD))
+            for order in (2, 4, 0, 3, 2):
+                got = pot.jet(z, order)
+                want = _oracle_potential_jet(pot, z, order)
+                assert got.order == want.order == order
+                assert _bits(got.coeffs) == _bits(want.coeffs)
+
+
+def test_jet_products_match_validating_constructor():
+    rng = random.Random(17)
+    for _ in range(300):
+        nvars = rng.choice((2, 4, 6))
+        order = rng.randrange(5)
+        a = _random_jet(rng, nvars, order)
+        b = _random_jet(rng, nvars, rng.choice((order, order + 1)))
+        for other in (b, a, _random_coeff(rng), 0.0, -1.0):
+            got = a * other
+            assert (got.nvars, got.order) == (nvars, order)
+            assert _bits(got.coeffs) == _bits(_oracle_product(a, other))
+        # a chain of products sees only product-built operands
+        c = a * b * a
+        assert _bits(c.coeffs) == \
+            _bits(_oracle_product(Jet(nvars, order, _oracle_product(a, b)),
+                                  a))
+
+
+# -- curvature_check evaluates every stencil point once ---------------------
+
+
+@pytest.mark.parametrize("n, kwargs, most", [
+    # distinct points per grid point; the stencils make 152, 425, 305,
+    # 420, 1021 and 841 calls
+    (1, {}, 81),
+    (1, {"full_riemann": True}, 133),
+    (1, {"diagnose_convergence": True}, 161),
+    (2, {}, 217),
+    (2, {"full_riemann": True}, 293),
+    (2, {"diagnose_convergence": True}, 433),
+])
+def test_curvature_check_evaluates_each_point_once(monkeypatch, n, kwargs,
+                                                   most):
+    points = []
+    field = cone_metric.metric_field
+
+    def recording_field(chart):
+        g_at = field(chart)
+
+        def recorded(z, xi):
+            points.append((*map(complex, z), complex(xi)))
+            return g_at(z, xi)
+
+        return recorded
+
+    monkeypatch.setattr(cone_metric, "metric_field", recording_field)
+    grid = [((0.05 + 0.1j,) * n, 0.9 + 0.2j), ((-0.1 + 0.02j,) * n, 1.1)]
+    curvature_check(fubini_study_potential(n), 1, n + 1, grid=grid, **kwargs)
+    assert len(points) == len(set(points))
+    assert len(points) <= most * len(grid)
+
+
+# -- metamorphic relation: symmetries of the Fubini-Study potential ---------
+
+# the stated tolerances of test_curvature_flat_cone and
+# test_curvature_einstein_proportionality
+FLAT_TOL = 1e-6
+EINSTEIN_TOL = 1e-5
+
+
+def test_curvature_check_under_fubini_study_symmetries():
+    # a = 1 + |z1|^2 + |z2|^2 and |xi| are invariant under swapping z1, z2
+    # with phases and under xi -> e^(i phi) xi, so the flat and Einstein
+    # identities must hold at a point and at its image alike
+    rng = random.Random(9)
+    pot = fubini_study_potential(2)
+    for _ in range(2):
+        z = tuple(complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+                  for _ in range(2))
+        xi = complex(rng.uniform(0.7, 1.2), rng.uniform(-0.3, 0.3))
+        phase = [cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                 for _ in range(3)]
+        image = ((phase[0] * z[1], phase[1] * z[0]), phase[2] * xi)
+        for point in ((z, xi), image):
+            flat = curvature_check(pot, 1, 3, grid=[point],
+                                   full_riemann=True)
+            assert flat.ricci_defect < FLAT_TOL
+            assert flat.max_riemann < FLAT_TOL
+            einstein = curvature_check(pot, Fraction(1, 2), 3, grid=[point])
+            assert einstein.ricci_defect < EINSTEIN_TOL
