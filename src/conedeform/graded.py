@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from . import linalg
@@ -141,6 +142,17 @@ def quotient_basis(cone: ConeSingularity, j: int) -> GradedBasis:
 
 
 class _JacobianData:
+    """The Jacobian map at weight j: its image columns and their pivots.
+
+    `columns` holds one image vector per source basis element, over the
+    concatenated target coordinates `labels`.  The pivot set of their span
+    is all that `t1_graded` reads: `img_pivots`, `rank` and `coker_coords`
+    come from `linalg.pivot_columns`.  `img_echelon`, the reduced echelon
+    form that `reduce_in_t1` reduces against, is built lazily on first
+    use; built before the pivots are asked for, it supplies them too, so
+    a weight computation eliminates once.
+    """
+
     def __init__(self, cone, j):
         n = cone.ambient_dim
         src = _degree_data(cone, j + 1) if j + 1 >= 0 else None
@@ -163,10 +175,25 @@ class _JacobianData:
                             continue
                         col.extend(t.reduce(mono * partials[i][l]))
                     self.columns.append(col)
-        self.img_echelon, self.img_pivots = linalg.row_echelon(self.columns)
-        self.rank = len(self.img_pivots)
+
+    @cached_property
+    def img_echelon(self):
+        echelon, pivots = linalg.row_echelon(self.columns)
+        vars(self).setdefault("img_pivots", pivots)
+        return echelon
+
+    @cached_property
+    def img_pivots(self):
+        return linalg.pivot_columns(self.columns)
+
+    @property
+    def rank(self):
+        return len(self.img_pivots)
+
+    @cached_property
+    def coker_coords(self):
         pivset = set(self.img_pivots)
-        self.coker_coords = [i for i in range(self.total) if i not in pivset]
+        return [i for i in range(self.total) if i not in pivset]
 
 
 def _jacobian_data(cone, j) -> _JacobianData:
@@ -225,7 +252,8 @@ def reduce_in_t1(cone: ConeSingularity, element, j: int) -> ReducedClass:
     vec, data = _target_vector(cone, element, j)
     if not vec:
         return ReducedClass(j, True, [])
-    res = linalg.reduce_against(vec, data.img_echelon, data.img_pivots)
+    echelon = data.img_echelon      # first, so that its pivots are used
+    res = linalg.reduce_against(vec, echelon, data.img_pivots)
     coords = [res[i] for i in data.coker_coords]
     return ReducedClass(j, all(c == 0 for c in coords), coords)
 

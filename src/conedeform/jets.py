@@ -61,7 +61,7 @@ class Jet:
 
     @staticmethod
     def constant(nvars, order, c):
-        return Jet(nvars, order, {(0,) * nvars: complex(c)})
+        return Jet._trusted(nvars, order, {(0,) * nvars: 0.0 + complex(c)})
 
     @staticmethod
     def variable(nvars, order, i, base=0.0):
@@ -72,15 +72,21 @@ class Jet:
     def __add__(self, other):
         if not isinstance(other, Jet):
             other = Jet.constant(self.nvars, self.order, other)
+        # stored values are nonzero and have no -0.0 part, so neither has
+        # a sum of two of them: adding it onto 0.0 again would change nothing
         t = dict(self.coeffs)
         for e, c in other.coeffs.items():
             t[e] = t.get(e, 0.0) + c
-        return Jet(self.nvars, self.order, t)
+        if other.order > self.order:
+            t = {e: c for e, c in t.items() if sum(e) <= self.order}
+        return Jet._trusted(self.nvars, self.order, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.nvars, self.order, {e: -c for e, c in self.coeffs.items()})
+        # onto 0.0: a negated part that was 0.0 is -0.0
+        return Jet._trusted(self.nvars, self.order,
+                            {e: 0.0 + -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
@@ -122,8 +128,8 @@ class Jet:
 
     def _split_lead(self):
         c0 = self.value()
-        rest = Jet(self.nvars, self.order,
-                   {e: c for e, c in self.coeffs.items() if sum(e) > 0})
+        rest = Jet._trusted(self.nvars, self.order,
+                            {e: c for e, c in self.coeffs.items() if sum(e) > 0})
         return c0, rest
 
     def power_real(self, alpha: float):

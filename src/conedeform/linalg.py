@@ -1,4 +1,5 @@
-"""Exact linear algebra over any field supporting +, -, *, / and == 0.
+"""Exact linear algebra over any field supporting +, -, *, / and truth
+testing (zero is falsy).
 
 Used with `fractions.Fraction` and `GaussianRational`.  Matrices are
 lists of row lists; nothing here mutates its arguments.
@@ -8,9 +9,17 @@ mostly zero (a few percent of their entries), so each pivot row is kept
 as a dict {column: value} and only nonzero entries are ever touched.
 Input and output stay dense lists of rows, so callers see plain
 matrices.
+
+`pivot_columns` gives only the pivot columns of the row space, by
+fraction-free elimination on sparse integer rows.  Its fast path takes
+`Fraction` rows only; rows with any other entry type go through
+`row_echelon`.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 
 def row_echelon(rows):
@@ -33,7 +42,7 @@ def row_echelon(rows):
     ncols = 0
     for row in rows:
         ncols = len(row)
-        v = {j: x for j, x in enumerate(row) if x != 0}
+        v = {j: x for j, x in enumerate(row) if x}
         for p in [j for j in v if j in pivot_rows]:
             _subtract(v, v.pop(p), pivot_rows[p], p)
         if not v:
@@ -69,10 +78,53 @@ def _subtract(v, c, row, skip):
             v[j] = -c * y
         else:
             x = x - c * y
-            if x != 0:
+            if x:
                 v[j] = x
             else:
                 del v[j]
+
+
+def pivot_columns(rows):
+    """Sorted pivot columns of the row space of `rows`.
+
+    These are the pivots of `row_echelon(rows)`: every echelon form of a
+    row space has the same pivot columns, so no row is normalized and no
+    pivot row is reduced against later ones.  Each row is scaled to
+    integers by the lcm of its denominators and eliminated fraction-free
+    (Bareiss, Math. Comp. 22 (1968)): while its leading column is a pivot,
+    v becomes b*v - a*p with a, b the two leading entries over their gcd.
+    What is left is divided by its content and becomes the pivot row of
+    its leading column.  Rows holding an entry that is not a `Fraction`
+    fall back to `row_echelon`.
+    """
+    pivot_rows = {}
+    for row in rows:
+        v = {j: x for j, x in enumerate(row) if x}
+        if not v:
+            continue
+        if not all(type(x) is Fraction for x in v.values()):
+            return row_echelon(rows)[1]
+        den = lcm(*[x.denominator for x in v.values()])
+        v = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
+        while v:
+            lead = min(v)
+            p = pivot_rows.get(lead)
+            if p is None:
+                g = gcd(*v.values())
+                pivot_rows[lead] = {j: x // g for j, x in v.items()}
+                break
+            a, b = v[lead], p[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if b != 1:
+                v = {j: b * x for j, x in v.items()}
+            for j, y in p.items():
+                x = v.get(j, 0) - a * y
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+    return sorted(pivot_rows)
 
 
 def reduce_against(vec, ech, pivots):
@@ -83,9 +135,9 @@ def reduce_against(vec, ech, pivots):
     v = list(vec)
     for row, p in zip(ech, pivots):
         c = v[p]
-        if c != 0:
+        if c:
             for j, y in enumerate(row):
-                if y != 0:
+                if y:
                     v[j] = v[j] - c * y
     return v
 

@@ -524,6 +524,76 @@ def test_jet_products_match_validating_constructor():
                                   a))
 
 
+def _jet_of(nvars, order, coeffs):
+    """A Jet holding exactly these coefficients, with no cleaning."""
+    jet = object.__new__(Jet)
+    jet.nvars, jet.order, jet.coeffs = nvars, order, dict(coeffs)
+    return jet
+
+
+def _oracle_constant(nvars, order, c):
+    return _jet_of(nvars, order, _oracle_jet_coeffs(
+        nvars, order, {(0,) * nvars: complex(c)}))
+
+
+def _oracle_add(a, other):
+    """Jet + Jet or Jet + scalar through the validating constructor."""
+    if not isinstance(other, Jet):
+        other = _oracle_constant(a.nvars, a.order, other)
+    t = dict(a.coeffs)
+    for e, c in other.coeffs.items():
+        t[e] = t.get(e, 0.0) + c
+    return _jet_of(a.nvars, a.order, _oracle_jet_coeffs(a.nvars, a.order, t))
+
+
+def _oracle_neg(a):
+    return _jet_of(a.nvars, a.order, _oracle_jet_coeffs(
+        a.nvars, a.order, {e: -c for e, c in a.coeffs.items()}))
+
+
+def _oracle_sub(a, other):
+    if not isinstance(other, Jet):
+        other = _oracle_constant(a.nvars, a.order, other)
+    return _oracle_add(a, _oracle_neg(other))
+
+
+def _same_jet(got, want):
+    assert (got.nvars, got.order) == (want.nvars, want.order)
+    assert _bits(got.coeffs) == _bits(want.coeffs)
+
+
+def test_jet_sums_match_validating_constructor():
+    rng = random.Random(23)
+    for _ in range(300):
+        nvars = rng.choice((2, 4, 6))
+        order = rng.randrange(5)
+        a = _random_jet(rng, nvars, order)
+        # b of a higher order: its terms above a.order must be dropped
+        b = _random_jet(rng, nvars, rng.choice((order, order + 1, order + 2)))
+        for other in (b, a, -1.0 * a, _random_coeff(rng), 0.0, -0.0,
+                      complex(-0.0, 1.0), 2):
+            _same_jet(a + other, _oracle_add(a, other))
+            _same_jet(a - other, _oracle_sub(a, other))
+            if not isinstance(other, Jet):
+                _same_jet(other + a, _oracle_add(a, other))
+                _same_jet(other - a, _oracle_add(_oracle_neg(a), other))
+        _same_jet(b + a, _oracle_add(b, a))
+        _same_jet(-a, _oracle_neg(a))
+        _same_jet(-(-a), _oracle_neg(_oracle_neg(a)))
+        c = _random_coeff(rng)
+        _same_jet(Jet.constant(nvars, order, c),
+                  _oracle_constant(nvars, order, c))
+        c0, rest = a._split_lead()
+        assert _bits({0: c0}) == _bits({0: a.coeffs.get((0,) * nvars, 0.0)})
+        _same_jet(rest, _jet_of(nvars, order, _oracle_jet_coeffs(
+            nvars, order, {e: cf for e, cf in a.coeffs.items() if sum(e) > 0})))
+        # a chain sees only operands that the fast paths built
+        chain = (a + b) * a - (a - 1.0)
+        want = _oracle_sub(_jet_of(nvars, order, _oracle_product(
+            _oracle_add(a, b), a)), _oracle_sub(a, 1.0))
+        _same_jet(chain, want)
+
+
 # -- curvature_check evaluates every stencil point once ---------------------
 
 

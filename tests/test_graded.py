@@ -5,16 +5,17 @@ from math import comb
 
 import pytest
 
-from conedeform import graded
+from conedeform import graded, linalg
 from conedeform.cli import EXAMPLE_DECKS
 from conedeform.graded import (ConeSingularity, DegreeMismatchError,
                                FirstOrderVanishes, Perturbation, RateInput,
-                               _degree_data, cubic_cone, deformation_weight,
+                               _degree_data, _jacobian_data, cubic_cone,
+                               deformation_weight,
                                jacobian_matrix, ordinary_double_point,
                                predicted_rate, quotient_basis, reduce_in_t1,
                                t1_graded, two_quadric_cone)
 from conedeform.parsing import parse_cone_deck
-from conedeform.poly import Polynomial
+from conedeform.poly import Polynomial, monomials_of_degree
 from test_linalg import _dense_row_echelon, _rank
 
 
@@ -430,3 +431,154 @@ def test_t1_ci_table_matches_dense_elimination(monkeypatch):
     dense = t1_graded(_diagonal_quadric_ci(7, 3), -3, 1)
     assert sparse.weights == dense.weights
     assert sparse.window == dense.window
+
+
+def test_t1_ci_table_matches_dense_elimination_everywhere(monkeypatch):
+    """As above, with the dense oracle's pivots in place of the integer
+    pivot columns of the Jacobian image as well."""
+    fast = t1_graded(_diagonal_quadric_ci(7, 3), -3, 1)
+    monkeypatch.setattr(graded.linalg, "row_echelon", _dense_row_echelon)
+    monkeypatch.setattr(graded.linalg, "pivot_columns",
+                        lambda rows: _dense_row_echelon(rows)[1])
+    dense = t1_graded(_diagonal_quadric_ci(7, 3), -3, 1)
+    assert fast.weights == dense.weights
+    assert fast.window == dense.window
+
+
+# ---------------------------------------------------------------------------
+# the Jacobian image by its integer pivot columns
+
+
+def _dense_cone(rng, N, degrees):
+    """Every monomial of each degree with a random nonzero coefficient."""
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                        rng.randint(1, 4))
+    return ConeSingularity(N, [
+        (Polynomial(N, {e: coeff() for e in monomials_of_degree(N, d)}), d)
+        for d in degrees])
+
+
+# (N, degrees, j_min, j_max): the dense cones' weight windows
+DENSE_CONES = [(4, (3,), -3, 2), (4, (4,), -4, 1), (5, (2,), -2, 1),
+               (5, (3,), -3, 0), (6, (2,), -2, 1), (4, (2, 2), -2, 2),
+               (4, (2, 3), -3, 1), (5, (2, 2), -2, 1), (6, (2, 2, 2), -2, 0)]
+
+
+def _pivot_cases():
+    for text in EXAMPLE_DECKS.values():
+        yield parse_cone_deck(text).cone, -4, 3
+    for N in (6, 7, 8):
+        for codim in (2, 3):
+            yield _diagonal_quadric_ci(N, codim), -3, 1
+    rng = random.Random(14)
+    for N, degrees, j_min, j_max in DENSE_CONES:
+        yield _dense_cone(rng, N, degrees), j_min, j_max
+
+
+def test_jacobian_pivots_match_reduced_echelon():
+    for cone, j_min, j_max in _pivot_cases():
+        for j in range(j_min, j_max + 1):
+            data = _jacobian_data(cone, j)
+            assert data.img_pivots == \
+                linalg.row_echelon(data.columns)[1], (cone, j)
+
+
+def test_t1_graded_eliminates_no_jacobian_image(monkeypatch):
+    seen = []
+    row_echelon = linalg.row_echelon
+
+    def recording(rows):
+        seen.append(rows)
+        return row_echelon(rows)
+
+    monkeypatch.setattr(graded.linalg, "row_echelon", recording)
+    cone = two_quadric_cone()
+    t1_graded(cone, -3, 1)
+    # one elimination per graded piece of the quotient ring, none more
+    assert len(seen) == len(cone._degree_cache) > 0
+    for j in range(-3, 2):
+        data = _jacobian_data(cone, j)
+        assert all(rows is not data.columns for rows in seen)
+        assert "img_echelon" not in vars(data)
+
+
+def _random_tuple(rng, cone, j):
+    return [Polynomial(cone.ambient_dim, {
+        e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for e in monomials_of_degree(cone.ambient_dim, d + j)})
+        for d in cone.degrees()]
+
+
+def test_reduce_in_t1_independent_of_t1_graded_first():
+    rng = random.Random(15)
+    for make, window in ((cubic_cone, (-3, 1)), (two_quadric_cone, (-2, 0))):
+        first, later = make(), make()
+        table = t1_graded(first, *window)
+        for j in range(window[0], window[1] + 1):
+            for _ in range(3):
+                element = _random_tuple(rng, first, j)
+                assert reduce_in_t1(first, element, j) == \
+                    reduce_in_t1(later, element, j)
+        # pivots taken from the reduced echelon form give the same table
+        assert t1_graded(later, *window).weights == table.weights
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: linear changes of coordinates and of generators
+
+
+def _unimodular(rng, n):
+    """A product of elementary integer row operations with small factors."""
+    A = [[int(i == k) for k in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, k = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        A[i] = [x + c * y for x, y in zip(A[i], A[k])]
+    return A
+
+
+def _change_coordinates(cone, A):
+    n = cone.ambient_dim
+    z = _vars(n)
+    image = [sum((Fraction(a) * v for a, v in zip(row, z)),
+                 Polynomial.zero(n)) for row in A]
+    return ConeSingularity(n, [(f.substitute(image), d)
+                               for f, d in cone.defining])
+
+
+def _invariants(cone, j_min, j_max):
+    hilbert = [quotient_basis(cone, j).quotient_dim
+               for j in range(j_max + max(cone.degrees()) + 2)]
+    return t1_graded(cone, j_min, j_max).dims(), hilbert
+
+
+def test_t1_and_hilbert_function_invariant_under_coordinate_change():
+    rng = random.Random(16)
+    for cone, window in ((cubic_cone(), (-3, 1)),
+                         (two_quadric_cone(), (-2, 1))):
+        want = _invariants(cone, *window)
+        for _ in range(2):
+            A = _unimodular(rng, cone.ambient_dim)
+            moved = _change_coordinates(cone, A)
+            assert moved.defining != cone.defining
+            assert _invariants(moved, *window) == want
+
+
+def test_t1_and_hilbert_function_invariant_under_generator_mixing():
+    rng = random.Random(17)
+    cone = two_quadric_cone()
+    want = _invariants(cone, -2, 1)
+    (f1, d), (f2, _) = cone.defining
+    for _ in range(3):
+        while True:
+            a, b, c, e = (Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                          for _ in range(4))
+            if a * e - b * c != 0:
+                break
+        mixed = ConeSingularity(5, [(a * f1 + b * f2, d),
+                                    (c * f1 + e * f2, d)])
+        assert _invariants(mixed, -2, 1) == want
+        # and after a change of coordinates as well
+        moved = _change_coordinates(mixed, _unimodular(rng, 5))
+        assert _invariants(moved, -2, 1) == want

@@ -188,3 +188,74 @@ def test_row_echelon_gaussian_rational_matches_dense_oracle():
     ech, piv = linalg.row_echelon(M)
     assert piv == [0, 1]
     assert all(type(x) is GaussianRational for row in ech for x in row)
+
+
+# ---------------------------------------------------------------------------
+# integer pivot columns against the reduced echelon form's pivots
+
+
+def _assert_same_pivots(rows):
+    assert linalg.pivot_columns(rows) == linalg.row_echelon(rows)[1]
+
+
+def test_pivot_columns_edge_cases():
+    z, one = Fraction(0), Fraction(1)
+    cases = [
+        [],                                         # empty input
+        [[], [], []],                               # zero-width rows
+        [[z, z, z], [z, z, z]],                     # all-zero rows
+        [[one, Fraction(2)], [one, Fraction(2)]],   # duplicate rows
+        [[z, one, z], [z, Fraction(3), z], [z, z, z], [z, Fraction(-2), z]],
+        [[Fraction(2), Fraction(4), Fraction(6)],   # rank deficient
+         [Fraction(1), Fraction(2), Fraction(3)],
+         [Fraction(0), Fraction(1), Fraction(1, 2)]],
+        [[z, Fraction(1, 3), Fraction(-1, 6)],      # pivot found late
+         [z, Fraction(2, 3), Fraction(5, 7)],
+         [Fraction(4, 9), z, z]],
+    ]
+    for rows in cases:
+        _assert_same_pivots(rows)
+    assert linalg.pivot_columns([]) == []
+    assert linalg.pivot_columns([[z, z], [z, one]]) == [1]
+
+
+def _big_fraction(rng):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    num = rng.randint(-10 ** 12, 10 ** 12)
+    den = rng.randint(1, 10 ** rng.choice((1, 6, 12)))
+    return Fraction(num, den)
+
+
+def test_pivot_columns_match_row_echelon_random():
+    rng = random.Random(7)
+    for trial in range(160):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        if trial % 2:
+            M = [[_big_fraction(rng) for _ in range(n)] for _ in range(m)]
+        else:
+            M = _sparse_matrix(rng, m, n, density=rng.choice((0.15, 0.4, 1)))
+        if trial % 3 == 0:
+            # rank-deficient: append combinations and copies of earlier rows
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.choice(M), rng.choice(M)
+                c = _big_fraction(rng)
+                M.append([x * c - y * Fraction(3, 7) for x, y in zip(a, b)])
+            M.append(list(rng.choice(M)))
+            rng.shuffle(M)
+        _assert_same_pivots(M)
+
+
+def test_pivot_columns_gaussian_rational_falls_back():
+    i = GaussianRational(0, 1)
+    one = GaussianRational(1)
+    zero = GaussianRational(0)
+    M = [[zero, i, -one, zero],
+         [one, i, zero, i + one],
+         [zero, one, i, zero]]          # -i times the first row
+    assert linalg.pivot_columns(M) == linalg.row_echelon(M)[1] == [0, 1]
+    # a Q(i) row after Fraction rows switches the whole matrix over
+    mixed = [[Fraction(0), Fraction(1), Fraction(0)],
+             [Fraction(0), Fraction(2), Fraction(0)],
+             [one, zero, i]]
+    assert linalg.pivot_columns(mixed) == linalg.row_echelon(mixed)[1] == [0, 1]
