@@ -149,8 +149,9 @@ class _JacobianData:
     is all that `t1_graded` reads: `img_pivots`, `rank` and `coker_coords`
     come from `linalg.pivot_columns`.  `img_echelon`, the reduced echelon
     form that `reduce_in_t1` reduces against, is built lazily on first
-    use; built before the pivots are asked for, it supplies them too, so
-    a weight computation eliminates once.
+    use.  Both lazy attributes come from the same forward elimination
+    pass in `linalg`, so `img_echelon`, built before the pivots are
+    asked for, supplies them too and a weight computation eliminates once.
     """
 
     def __init__(self, cone, j):

@@ -4,22 +4,76 @@ testing (zero is falsy).
 Used with `fractions.Fraction` and `GaussianRational`.  Matrices are
 lists of row lists; nothing here mutates its arguments.
 
-`row_echelon` eliminates sparsely: the matrices of the graded engine are
-mostly zero (a few percent of their entries), so each pivot row is kept
-as a dict {column: value} and only nonzero entries are ever touched.
-Input and output stay dense lists of rows, so callers see plain
-matrices.
-
-`pivot_columns` gives only the pivot columns of the row space, by
-fraction-free elimination on sparse integer rows.  Its fast path takes
-`Fraction` rows only; rows with any other entry type go through
-`row_echelon`.
+One elimination serves every routine: `_pivot_rows`, a forward pass of
+fraction-free elimination (Bareiss, Math. Comp. 22 (1968)) on sparse
+rows.  The graded engine's matrices are mostly zero, so each row is a
+dict {column: value} and only nonzero entries are touched.  While the
+leading column of a row v holds a pivot row p, v becomes b*v - a*p with
+a, b the two leading entries; what is left, divided by its content, is
+the pivot row of its leading column.  Its one branch is a matrix whose
+nonzero entries are all `Fraction`s: each row is scaled to integers by
+the lcm of its denominators, a and b are divided by their gcd and the
+content is the gcd of a row, so the pass runs on small integers.  Any
+other field (Q(i)) runs the same step on its own entries; there the
+content is the leading entry, so b = 1 and entries do not grow.
+`pivot_columns` reads the pivot columns off that pass; `row_echelon`
+reduces its pivot rows upward.  Input and output stay dense lists of
+rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def _pivot_rows(rows):
+    """({pivot column: sparse pivot row}, whether the rows hold ints)."""
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    integer = all(type(x) is Fraction for v in sparse for x in v.values())
+    pivot_rows = {}
+    for v in sparse:
+        if integer and v:
+            den = lcm(*[x.denominator for x in v.values()])
+            v = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
+        while v:
+            lead = min(v)
+            p = pivot_rows.get(lead)
+            if p is None:
+                pivot_rows[lead] = _primitive(v, integer)
+                break
+            v = _step(v, p, lead, integer)
+    return pivot_rows, integer
+
+
+def _step(v, p, col, integer):
+    """b*v - a*p without column col, a and b the entries of v and p there
+    (over their gcd for ints); v is updated in place if b == 1."""
+    a, b = v.pop(col), p[col]
+    if integer:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+    if b != 1:
+        v = {j: b * x for j, x in v.items()}
+    for j, y in p.items():
+        if j == col:
+            continue
+        x = v.get(j, 0) - a * y
+        if x:
+            v[j] = x
+        else:
+            del v[j]
+    return v
+
+
+def _primitive(v, integer):
+    """v divided by its content: the gcd of the entries of an integer row,
+    the leading entry over a field, where every nonzero entry is a unit."""
+    if integer:
+        g = gcd(*v.values())
+        return {j: x // g for j, x in v.items()}
+    lead = v[min(v)]
+    return {j: x / lead for j, x in v.items()}
 
 
 def row_echelon(rows):
@@ -31,100 +85,43 @@ def row_echelon(rows):
     exactly the result of dense Gauss-Jordan elimination, zeros included
     (they are the field's zero, e.g. `Fraction(0)`).
 
-    The elimination is sparse and incremental.  Each pivot row is a dict
-    {column: value} that stays fully reduced.  An incoming row is reduced
-    against the pivots whose columns it hits; if anything is left, its
-    leftmost entry is normalized to 1 and that column is eliminated from
-    the earlier pivot rows.  At the end the pivots are sorted by column
-    and densified.
+    It is built from the pivot rows of the forward pass.  From the last
+    pivot upward, each pivot row is reduced by the same b*v - a*p step
+    against the later, already reduced pivot rows whose columns it hits.
+    Integer rows are then divided by their content again and by their
+    leading entry (rows over any other field lead with 1 already), and
+    the rows are densified in pivot order.
     """
-    pivot_rows = {}
-    ncols = 0
-    for row in rows:
-        ncols = len(row)
-        v = {j: x for j, x in enumerate(row) if x}
-        for p in [j for j in v if j in pivot_rows]:
-            _subtract(v, v.pop(p), pivot_rows[p], p)
-        if not v:
-            continue
-        lead = min(v)
-        inv = v[lead]
-        v = {j: x / inv for j, x in v.items()}
-        for prow in pivot_rows.values():
-            if lead in prow:
-                _subtract(prow, prow.pop(lead), v, lead)
-        pivot_rows[lead] = v
+    pivot_rows, integer = _pivot_rows(rows)
     if not pivot_rows:
         return [], []
     pivots = sorted(pivot_rows)
-    one = pivot_rows[pivots[0]][pivots[0]]
-    zero = one - one
+    for p in reversed(pivots):
+        v = pivot_rows[p]
+        hits = [q for q in v if q != p and q in pivot_rows]
+        for q in hits:
+            v = _step(v, pivot_rows[q], q, integer)
+        pivot_rows[p] = _primitive(v, integer) if integer and hits else v
     echelon = []
     for p in pivots:
-        dense = [zero] * ncols
-        for j, x in pivot_rows[p].items():
+        v = pivot_rows[p]
+        if integer:
+            v = {j: Fraction(x, v[p]) for j, x in v.items()}
+        dense = [v[p] - v[p]] * len(rows[-1])
+        for j, x in v.items():
             dense[j] = x
         echelon.append(dense)
     return echelon, pivots
 
 
-def _subtract(v, c, row, skip):
-    """v -= c * row in place over the sparse entries, leaving out column skip."""
-    for j, y in row.items():
-        if j == skip:
-            continue
-        x = v.get(j)
-        if x is None:
-            v[j] = -c * y
-        else:
-            x = x - c * y
-            if x:
-                v[j] = x
-            else:
-                del v[j]
-
-
 def pivot_columns(rows):
     """Sorted pivot columns of the row space of `rows`.
 
-    These are the pivots of `row_echelon(rows)`: every echelon form of a
-    row space has the same pivot columns, so no row is normalized and no
-    pivot row is reduced against later ones.  Each row is scaled to
-    integers by the lcm of its denominators and eliminated fraction-free
-    (Bareiss, Math. Comp. 22 (1968)): while its leading column is a pivot,
-    v becomes b*v - a*p with a, b the two leading entries over their gcd.
-    What is left is divided by its content and becomes the pivot row of
-    its leading column.  Rows holding an entry that is not a `Fraction`
-    fall back to `row_echelon`.
+    These are the pivots of `row_echelon(rows)`, read off the forward
+    pass alone: every echelon form of a row space has the same pivot
+    columns, so no pivot row is reduced upward.
     """
-    pivot_rows = {}
-    for row in rows:
-        v = {j: x for j, x in enumerate(row) if x}
-        if not v:
-            continue
-        if not all(type(x) is Fraction for x in v.values()):
-            return row_echelon(rows)[1]
-        den = lcm(*[x.denominator for x in v.values()])
-        v = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
-        while v:
-            lead = min(v)
-            p = pivot_rows.get(lead)
-            if p is None:
-                g = gcd(*v.values())
-                pivot_rows[lead] = {j: x // g for j, x in v.items()}
-                break
-            a, b = v[lead], p[lead]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if b != 1:
-                v = {j: b * x for j, x in v.items()}
-            for j, y in p.items():
-                x = v.get(j, 0) - a * y
-                if x:
-                    v[j] = x
-                else:
-                    del v[j]
-    return sorted(pivot_rows)
+    return sorted(_pivot_rows(rows)[0])
 
 
 def reduce_against(vec, ech, pivots):

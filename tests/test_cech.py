@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conedeform import cech
 from conedeform.cech import (CoboundaryWindow, NotNormalizedError,
                              TruncationExhaustedError, TruncatedTransition,
                              apply_y_step, apply_z_step,
@@ -15,6 +16,7 @@ from conedeform.cech import (CoboundaryWindow, NotNormalizedError,
 from conedeform.laurent import LaurentPoly, YSeries
 from conedeform.poly import Polynomial, format_poly
 from conedeform.rational import GaussianRational
+from test_linalg import _dense_row_echelon
 
 GR = GaussianRational
 
@@ -446,3 +448,56 @@ def test_normalize_golden_ledger(name):
     got = (entries, res.ledger.families, res.ledger.notes,
            res.m_comfortable, res.m_linearizable)
     assert got == GOLDEN_LEDGERS[name]
+
+
+# ---------------------------------------------------------------------------
+# vanishing loci of affine Q(i) systems against the dense Gauss-Jordan oracle
+
+
+def _gaussian(rng):
+    return GR(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+              Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+
+
+def _affine_system(rng, used, kind):
+    """Affine parameter polynomials in `used` whose locus is meant to be
+    `kind` (random coefficients may lower the rank)."""
+    n = cech.PARAM_BUDGET
+    a = [Polynomial.variable(n, i) for i in range(n)]
+
+    def constant(c):
+        return Polynomial.constant(n, c)
+
+    def combination(polys):
+        return sum((p * _gaussian(rng) for p in polys), constant(GR(0)))
+
+    rank = {"points": len(used), "affine": len(used) - 1,
+            "empty": rng.randint(1, len(used))}[kind]
+    polys = [combination([a[i] for i in used]) + constant(_gaussian(rng))
+             for _ in range(rank)]
+    polys += [combination(rng.sample(polys, min(2, rank)))
+              for _ in range(rng.randint(0, 2))]
+    if kind == "empty":
+        polys.append(combination(polys) + constant(GR(1)))
+    rng.shuffle(polys)
+    return polys
+
+
+def test_vanishing_locus_matches_dense_oracle(monkeypatch):
+    rng = random.Random(23)
+    kinds = set()
+    for trial in range(48):
+        used = sorted(rng.sample(range(cech.PARAM_BUDGET), 1 + trial % 4))
+        kind = ("points", "affine", "empty")[trial // 4 % 3]
+        if kind == "affine" and len(used) == 1:
+            kind = "points"
+        polys = _affine_system(rng, used, kind)
+        fast = cech.vanishing_locus(polys, used)
+        with monkeypatch.context() as m:
+            m.setattr(cech.linalg, "row_echelon", _dense_row_echelon)
+            dense = cech.vanishing_locus(polys, used)
+        assert (fast.kind, fast.points, fast.substitution,
+                fast.description) == (dense.kind, dense.points,
+                                      dense.substitution, dense.description)
+        kinds.add(fast.kind)
+    assert kinds == {"empty", "points", "affine"}

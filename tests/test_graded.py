@@ -582,3 +582,19 @@ def test_t1_and_hilbert_function_invariant_under_generator_mixing():
         # and after a change of coordinates as well
         moved = _change_coordinates(mixed, _unimodular(rng, 5))
         assert _invariants(moved, -2, 1) == want
+
+
+def test_jacobian_echelon_matches_dense_oracle():
+    """The integer-built reduced echelon form of the image on real fill-in."""
+    cases = [(parse_cone_deck(text).cone, -4, 2)
+             for text in EXAMPLE_DECKS.values()]
+    rng = random.Random(22)
+    cases += [(_dense_cone(rng, N, degrees), j_min, j_max)
+              for N, degrees, j_min, j_max in (DENSE_CONES[3], DENSE_CONES[6])]
+    for cone, j_min, j_max in cases:
+        for j in range(j_min, j_max + 1):
+            data = _jacobian_data(cone, j)
+            assert (data.img_echelon, data.img_pivots) == \
+                _dense_row_echelon(data.columns), (cone, j)
+            assert all(type(x) is Fraction
+                       for row in data.img_echelon for x in row)

@@ -91,24 +91,67 @@ LIBRARY_API = {
     "invert_transition": "the chart swap of a transition germ",
 }
 
-DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+PACKAGE = "conedeform"
 
 
-def _references(tree):
-    """(name, line) for every identifier used in a module: names,
-    attributes, imports, and the parts of dotted-name strings (such as the
-    bench's layer list)."""
+def _module_name(label):
+    """A source file's module: its stem, or the package for __init__."""
+    stem = pathlib.PurePath(label).stem
+    return PACKAGE if stem == "__init__" else stem
+
+
+def _dotted(node):
+    """'a.b.c' for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def _references(tree, module, modules):
+    """(module.name, line) for every reference of a module to a top-level
+    binding: `from .linalg import x` and `linalg.x` name linalg.x, a bare
+    name its own module's binding (or what it was imported as), and the
+    bench's (module, name) layer tuples the layer's owner.  Attributes of
+    other objects (`data.rank`) and strings name nothing."""
+    def canonical(path):
+        head, _, rest = path.partition(".")
+        if head == PACKAGE and rest.split(".")[0] in modules:
+            return rest
+        return path
+
+    bound = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
-        elif isinstance(node, ast.alias):
-            yield node.name.split(".")[-1], node.lineno
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and DOTTED.fullmatch(node.value)):
-            for part in node.value.split("."):
-                yield part, node.lineno
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = alias.name if alias.asname else name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(filter(None, (PACKAGE, base)))
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{base}.{alias.name}"
+                yield canonical(f"{base}.{alias.name}"), node.lineno
+    for node in ast.walk(tree):
+        path = None
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            path = _dotted(node)
+            if path is not None:
+                head, _, rest = path.partition(".")
+                path = ".".join(filter(None, (
+                    bound.get(head, f"{module}.{head}"), rest)))
+        elif (isinstance(node, ast.Tuple) and len(node.elts) >= 2
+              and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                      for e in node.elts[:2])
+              and node.elts[0].value in modules):
+            layer_owner = node.elts[1].value.split(".")[0]
+            path = f"{node.elts[0].value}.{layer_owner}"
+        if path is not None:
+            yield canonical(path), node.lineno
 
 
 def _unreferenced(labels, users):
@@ -116,16 +159,18 @@ def _unreferenced(labels, users):
     module of `users` (label -> source text, the modules included)
     references outside the definition itself."""
     trees = {label: ast.parse(text) for label, text in users.items()}
+    modules = {_module_name(label) for label in users}
     refs = {}
     for label, tree in trees.items():
-        for name, line in _references(tree):
-            refs.setdefault(name, []).append((label, line))
+        for path, line in _references(tree, _module_name(label), modules):
+            refs.setdefault(path, []).append((label, line))
     out = set()
     for label in labels:
         for node in trees[label].body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not any(
                     where != label or not node.lineno <= line <= node.end_lineno
-                    for where, line in refs.get(node.name, ())):
+                    for where, line in refs.get(
+                        f"{_module_name(label)}.{node.name}", ())):
                 out.add(node.name)
     return out
 
@@ -148,6 +193,15 @@ def test_src_keeps_only_what_is_reached():
 def test_unreferenced_scan_flags_a_planted_name():
     planted = {"planted.py": "def orphan(n):\n    return orphan(n - 1)\n\n\n"
                              "def used():\n    return 1\n\n\n"
-                             "class Orphan:\n    pass\n",
-               "user.py": "LAYERS = [('planted', 'used')]\n"}
-    assert _unreferenced(["planted.py"], planted) == {"orphan", "Orphan"}
+                             "class Orphan:\n    pass\n\n\n"
+                             "def rank(rows):\n    return len(rows)\n",
+               "user.py": "LAYERS = [('planted', 'used')]\n"
+                          "COUNTER = 'planted.used.rank'\n\n\n"
+                          "def size(data):\n    return data.rank\n"}
+    # an attribute or a counter string of the same name is no reference
+    assert _unreferenced(["planted.py"], planted) == {"orphan", "Orphan",
+                                                      "rank"}
+    for use in ("from planted import rank\n", "from .planted import rank\n",
+                "import planted as p\nn = p.rank([])\n"):
+        assert _unreferenced(["planted.py"], {**planted, "other.py": use}) \
+            == {"orphan", "Orphan"}, use

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -259,3 +260,110 @@ def test_pivot_columns_gaussian_rational_falls_back():
              [Fraction(0), Fraction(2), Fraction(0)],
              [one, zero, i]]
     assert linalg.pivot_columns(mixed) == linalg.row_echelon(mixed)[1] == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# the one elimination loop behind both entry points, against the dense
+# Gauss-Jordan oracle rather than against itself
+
+
+_EDGE_CASES = [
+    [],                                                 # empty input
+    [[], [], []],                                       # zero-width rows
+    [[Fraction(0)] * 3] * 2,                            # all-zero rows
+    [[Fraction(1), Fraction(2)], [Fraction(1), Fraction(2)]],
+    [[Fraction(0), Fraction(1), Fraction(0)],           # one pivot, late
+     [Fraction(0), Fraction(3), Fraction(0)],
+     [Fraction(0)] * 3,
+     [Fraction(0), Fraction(-2), Fraction(0)]],
+    [[Fraction(2), Fraction(4), Fraction(6)],           # rank deficient
+     [Fraction(1), Fraction(2), Fraction(3)],
+     [Fraction(0), Fraction(1), Fraction(1, 2)]],
+    [[Fraction(0), Fraction(1, 3), Fraction(-1, 6)],    # pivot found late
+     [Fraction(0), Fraction(2, 3), Fraction(5, 7)],
+     [Fraction(4, 9), Fraction(0), Fraction(0)]],
+]
+
+
+def _big_matrix(rng, m, n):
+    """Entries up to 10^12 over 10^12, with dependent rows appended."""
+    M = [[_big_fraction(rng) for _ in range(n)] for _ in range(m)]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(M), rng.choice(M)
+        c, d = _big_fraction(rng), _big_fraction(rng)
+        M.append([x * c + y * d for x, y in zip(a, b)])
+    rng.shuffle(M)
+    return M
+
+
+def _mixed_matrix(rng, m, n):
+    """`Fraction` rows, Q(i) rows and rows holding both."""
+    q, qi = _sparse_matrix(rng, m, n), _sparse_matrix(rng, m, n, "qi")
+    both = [[rng.choice(xy) for xy in zip(a, b)] for a, b in zip(q, qi)]
+    return [rng.choice(rows) for rows in zip(q, qi, both)]
+
+
+def _gaussian_cases():
+    i, one, zero = (GaussianRational(0, 1), GaussianRational(1),
+                    GaussianRational(0))
+    yield [[one, i, zero, i + one],
+           [zero, i, -one, zero],
+           [zero, one, i, zero],            # -i times the second row
+           [zero, zero, zero, zero]]
+    rng = random.Random(17)
+    for _ in range(30):
+        yield _sparse_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), "qi",
+                             density=rng.choice((0.3, 1)))
+
+
+def _mixed_cases():
+    i, one, zero = (GaussianRational(0, 1), GaussianRational(1),
+                    GaussianRational(0))
+    yield [[Fraction(0), Fraction(1), Fraction(0)],
+           [Fraction(0), Fraction(2), Fraction(0)],
+           [one, zero, i]]
+    rng = random.Random(18)
+    for _ in range(30):
+        yield _mixed_matrix(rng, rng.randint(2, 7), rng.randint(1, 7))
+
+
+def _big_cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield _big_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
+
+
+def test_pivot_columns_match_dense_oracle():
+    cases = [*_EDGE_CASES, *_big_cases(19, 80), *_gaussian_cases(),
+             *_mixed_cases()]
+    for rows in cases:
+        assert linalg.pivot_columns(rows) == _dense_row_echelon(rows)[1], rows
+
+
+def test_row_echelon_big_entries_match_dense_oracle():
+    for rows in [*_EDGE_CASES, *_big_cases(20, 80)]:
+        _assert_same_echelon(rows)
+
+
+def test_pivot_rows_stay_small():
+    """Pivot rows are primitive integer rows for `Fraction` input and lead
+    with 1 over Q(i), so their entries do not grow from step to step."""
+    for rows in _big_cases(24, 20):
+        pivot_rows, integer = linalg._pivot_rows(rows)
+        assert integer
+        for p, v in pivot_rows.items():
+            assert min(v) == p and all(type(x) is int for x in v.values())
+            assert math.gcd(*v.values()) == 1
+    for rows in _gaussian_cases():
+        pivot_rows = linalg._pivot_rows(rows)[0]
+        assert all(min(v) == p and v[p] == 1 for p, v in pivot_rows.items())
+
+
+def test_elimination_leaves_its_input_alone():
+    cases = [*_EDGE_CASES, *_big_cases(21, 20), *_gaussian_cases(),
+             *_mixed_cases()]
+    for rows in cases:
+        for eliminate in (linalg.row_echelon, linalg.pivot_columns):
+            outer, inner = list(rows), [list(row) for row in rows]
+            eliminate(rows)
+            assert rows == inner and all(a is b for a, b in zip(rows, outer))
