@@ -240,26 +240,14 @@ def comfortable_obstruction(t: TruncatedTransition, k: int) -> ObstructionClass:
                             h1_class(-_normal_cochain(t, k), window), cocycle)
 
 
-def _coeff_like(s: GaussianRational, like):
-    """Scalar s as a coefficient of the same type as `like`."""
-    if _is_param_poly(like):
-        return Polynomial.constant(PARAM_BUDGET, s)
-    return s
-
-
-def _scaled(f: LaurentPoly, s: GaussianRational) -> LaurentPoly:
-    return f.map_coeffs(lambda c: c * _coeff_like(s, c))
-
-
 def _base_cochain(t, k):
     """-(z^2/gamma0) phi_k: the order-k base term in the chart-1 frame."""
-    return -_scaled(t.phi(k).shift(2), GaussianRational(1) / t.gamma0)
+    return -(t.phi(k).shift(2) * (GaussianRational(1) / t.gamma0))
 
 
 def _normal_cochain(t, k):
     """c_(k+1)/c_1: the order-(k+1) normal term relative to the linear one."""
-    return _scaled(t.c(k + 1).shift(t.normal_degree),
-                   GaussianRational(1) / t.gamma)
+    return t.c(k + 1).shift(t.normal_degree) * (GaussianRational(1) / t.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +265,7 @@ def _split_coboundary(f: LaurentPoly, m, scale):
         if e >= 0:
             a[e] = c
         elif e <= m:
-            b[m - e] = c * _coeff_like(scale(m - e), c)
+            b[m - e] = c * scale(m - e)
         else:
             raise ValueError("forbidden window not cleared before solving")
     return LaurentPoly(a), LaurentPoly(b)
@@ -356,10 +344,8 @@ def invert_transition(t: TruncatedTransition) -> TruncatedTransition:
     (substituting the inverse into the original series) returns the
     identity pair, which is the two-chart form of the cocycle identity."""
     K = t.order
-    g0 = t.gamma0
-    # leading inverses
-    Z = YSeries(K, [LaurentPoly.monomial(-1, _coeff_like(
-        g0, t.phi(0).monomial_data()[1]))])
+    # leading inverses; phi0 = gamma0/z is its own inverse
+    Z = YSeries(K, [t.phi(0)])
     e1, c1coef = t.c(1).monomial_data()
     Y = YSeries(K, [LaurentPoly.zero(),
                     LaurentPoly.monomial(-e1, _inv_coeff(c1coef))])
@@ -373,8 +359,7 @@ def invert_transition(t: TruncatedTransition) -> TruncatedTransition:
             * c1_at.inverse()
         # z1 = gamma0 / (z2 - sum_{a>=1} phi_a(z1) y1^a)
         base = YSeries.identity_z(K) - z_tail.substitute(Z, Yn)
-        Zn = base.inverse() * LaurentPoly.monomial(
-            0, _coeff_like(g0, t.phi(0).monomial_data()[1]))
+        Zn = base.inverse() * t.phi(0).shift(1)
         if Zn == Z and Yn == Y:
             Z, Y = Zn, Yn
             break
@@ -396,8 +381,8 @@ def _base_step(t: TruncatedTransition, k: int, next_param: int):
                 f"lifting-parameter budget exhausted: the order-{k} family "
                 f"needs parameter {idx + 1} of {PARAM_BUDGET}")
         a = Polynomial.variable(PARAM_BUDGET, idx)
-        p = p + pk.map_coeffs(lambda c: a * _lift_coeff(c))
-        u = u + uk.map_coeffs(lambda c: a * _lift_coeff(c))
+        p = p + pk * a
+        u = u + uk * a
         params.append(idx)
     t = apply_z_step(t, p, u, k)
     assert t.phi(k).is_zero(), "base step failed to normalize"
@@ -574,10 +559,6 @@ class NormalizeResult:
     truncation_limited: bool
     verdict: str
     best_chain: str
-
-    @property
-    def m_XD(self):
-        return self.m_comfortable
 
 
 def _branches(locus):

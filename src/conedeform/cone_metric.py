@@ -114,12 +114,11 @@ def fubini_study_potential(dimD: int = 1) -> Potential:
 
 
 class JetPotential:
-    """Potential known only through its jet at one anchor point."""
+    """Potential known only through its jet at the origin."""
 
-    def __init__(self, dimD, jet: Jet, anchor=None):
+    def __init__(self, dimD, jet: Jet):
         self.dimD = dimD
         self._jet = jet
-        self.anchor = tuple(anchor or (0.0,) * dimD)
 
     def jet(self, z, order=4):
         """The stored jet re-expanded at z, truncated at `order` (at most
@@ -128,19 +127,15 @@ class JetPotential:
             raise ValueError(f"potential known only to order "
                              f"{self._jet.order}, order {order} requested")
         jet = self._jet
-        if tuple(map(complex, z)) != tuple(map(complex, self.anchor)):
+        if any(map(complex, z)):
             # re-expand the stored polynomial jet at the displaced point
             n = self.dimD
-            shift = [complex(a) - complex(b) for a, b in zip(z, self.anchor)]
             mapping = {}
             for i in range(n):
-                mapping[i] = Jet.variable(2 * n, jet.order, i, base=shift[i])
+                mapping[i] = Jet.variable(2 * n, jet.order, i, base=z[i])
                 mapping[n + i] = mapping[i].conjugate()
             jet = jet.subst(mapping)
         return Jet(jet.nvars, order, jet.coeffs)
-
-    def value(self, z):
-        return self.jet(z, 0).value()
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +350,14 @@ def tensor_norm(T: np.ndarray, g: np.ndarray) -> float:
 
 def basis_tensor(kind: str, n: int) -> np.ndarray:
     """Unit-slot (1,1) tensors: 'vh' = dxi (x) d/dz1, 'hv' = dz1 (x) d/dxi,
-    'vv' = dxi (x) d/dxi, 'hh' = dz1 (x) d/dz1 (index 0 = fiber)."""
-    T = np.zeros((n + 1, n + 1), dtype=complex)
-    if kind == "vh":                 # vertical covariant, horizontal contravariant
-        T[1, 0] = 1.0
-    elif kind == "hv":
-        T[0, 1] = 1.0
-    elif kind == "vv":
-        T[0, 0] = 1.0
-    elif kind == "hh":
-        T[1, 1] = 1.0
-    else:
+    'vv' = dxi (x) d/dxi, 'hh' = dz1 (x) d/dz1 (index 0 = fiber).  The one
+    entry is T[q_h, p_h] of TENSOR_TYPES[kind]: a horizontal slot is index
+    1, a vertical one index 0."""
+    if kind not in TENSOR_TYPES:
         raise ValueError(kind)
+    t = TENSOR_TYPES[kind]
+    T = np.zeros((n + 1, n + 1), dtype=complex)
+    T[t.q_h, t.p_h] = 1.0
     return T
 
 

@@ -286,7 +286,7 @@ def t1_graded(cone: ConeSingularity, j_min: int, j_max: int) -> T1Report:
 class Perturbation:
     """Tuple {G_i} deforming the cone equations, with declared degrees e_i."""
 
-    def __init__(self, components, declared_degrees, cone=None):
+    def __init__(self, components, declared_degrees):
         self.components = tuple(components)
         self.declared_degrees = tuple(int(e) for e in declared_degrees)
         if len(self.components) != len(self.declared_degrees):
@@ -296,8 +296,6 @@ class Perturbation:
                 raise ValueError("declared degree must be nonnegative")
             if g.degree() > e:
                 raise ValueError(f"deg {g} exceeds declared degree {e}")
-        if cone is not None:
-            self.validate_against(cone)
 
     def validate_against(self, cone: ConeSingularity):
         if len(self.components) != cone.codim:
@@ -466,14 +464,10 @@ def ordinary_double_point(n: int) -> ConeSingularity:
     return ConeSingularity(nv, [(f, 2)])
 
 
-def two_quadric_cone(lams=None) -> ConeSingularity:
-    """{sum z_i^2 = 0, sum lam_i z_i^2 = 0} in C^5, lam_i distinct."""
-    if lams is None:
-        lams = [Fraction(k + 1) for k in range(5)]
-    lams = [Fraction(l) for l in lams]
-    if len(set(lams)) != 5:
-        raise ValueError("the five weights must be distinct")
+def two_quadric_cone() -> ConeSingularity:
+    """{sum z_i^2 = 0, sum lam_i z_i^2 = 0} in C^5 with the distinct
+    weights lam_i = i, i = 1..5."""
     sq = lambda i: tuple(2 if j == i else 0 for j in range(5))
     f1 = Polynomial(5, {sq(i): 1 for i in range(5)})
-    f2 = Polynomial(5, {sq(i): lams[i] for i in range(5)})
+    f2 = Polynomial(5, {sq(i): i + 1 for i in range(5)})
     return ConeSingularity(5, [(f1, 2), (f2, 2)])

@@ -117,12 +117,6 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        out = Jet.constant(self.nvars, self.order, 1.0)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def value(self):
         return self.coeffs.get((0,) * self.nvars, 0.0)
 

@@ -99,9 +99,6 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            e, c = self.monomial_data()
-            return LaurentPoly({-e: _inv_coeff(c)}) ** (-k)
         return power(self, k, LaurentPoly.monomial(0))
 
     def shift(self, k):
@@ -127,7 +124,7 @@ class LaurentPoly:
             total = total + c * z ** e if e >= 0 else total + c * (1 / z) ** (-e)
         return total
 
-    def to_string(self, var="z", coeff_str=str):
+    def to_string(self, coeff_str=str):
         if not self.coeffs:
             return "0"
         bits = []
@@ -136,7 +133,7 @@ class LaurentPoly:
             if e == 0:
                 bits.append(body)
                 continue
-            mono = var if e == 1 else f"{var}^{e}"
+            mono = "z" if e == 1 else f"z^{e}"
             if any(s in body[1:] for s in "+-"):
                 bits.append(f"({body})*{mono}")
             elif body == "1":
@@ -212,8 +209,6 @@ class YSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
         return power(self, k, YSeries.const(self.order, LaurentPoly.monomial(0)))
 
     def y_valuation(self):

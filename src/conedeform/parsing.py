@@ -179,8 +179,8 @@ def realize_polynomial(terms, nvars) -> Polynomial:
     return Polynomial(nvars, out)
 
 
-def parse_polynomial(text, nvars=None, line=1) -> Polynomial:
-    terms = parse_polynomial_terms(text, line)
+def parse_polynomial(text, nvars=None) -> Polynomial:
+    terms = parse_polynomial_terms(text)
     if nvars is None:
         nvars = max((max(m) for _, m in terms if m), default=0)
     return realize_polynomial(terms, nvars)
@@ -297,26 +297,34 @@ def parse_cone_deck(text) -> ConeDeck:
         deck.n = int(params["n"])
     if "alpha" in params:
         deck.alpha = params["alpha"]
-    deck.compact = bool(params.get("compact", False))
+    deck.compact = params.get("compact", False)
     return deck
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+_PARAMS = {"n": int, "alpha": Fraction,
+           "compact": lambda val: _BOOLEANS[val.lower()]}
+
+
 def _parse_params(text, params, ln):
+    """key=value chunks into params, each value read by _PARAMS[key]; a bad
+    value, then a key already set, is an error at line ln."""
     for chunk in text.replace(",", " ").split():
         if "=" not in chunk:
             raise ParseError(f"expected key=value, got {chunk!r}", ln, 1)
         key, val = chunk.split("=", 1)
         key = key.strip().lower()
         val = val.strip()
-        if key == "compact":
-            params["compact"] = val.lower() in ("1", "true", "yes")
-            continue
-        if key not in ("n", "alpha"):
+        if key not in _PARAMS:
             raise ParseError(f"unknown parameter {key!r}", ln, 1)
         try:
-            params[key] = int(val) if key == "n" else Fraction(val)
-        except (ValueError, ZeroDivisionError):
+            value = _PARAMS[key](val)
+        except (KeyError, ValueError, ZeroDivisionError):
             raise ParseError(f"invalid value {val!r} for {key}", ln, 1)
+        if key in params:
+            raise ParseError(f"repeated parameter {key!r}", ln, 1)
+        params[key] = value
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,8 @@ class Polynomial:
         return Polynomial(nvars, {tuple(e): 1})
 
     @staticmethod
-    def monomial(nvars, exponents, c=1):
-        return Polynomial(nvars, {tuple(exponents): c})
+    def monomial(nvars, exponents):
+        return Polynomial(nvars, {tuple(exponents): 1})
 
     # -- predicates ----------------------------------------------------------
     def is_zero(self):
@@ -167,13 +167,9 @@ class Polynomial:
         return total
 
     def substitute(self, substitutions):
-        """Replace variable i by substitutions[i] (Polynomial or scalar)."""
-        subs = []
-        for i in range(self.nvars):
-            s = substitutions.get(i) if isinstance(substitutions, dict) else substitutions[i]
-            if not isinstance(s, Polynomial):
-                s = Polynomial.constant(self.nvars, s)
-            subs.append(s)
+        """Replace variable i by the Polynomial substitutions[i], from a
+        list or a dict with a key for every variable."""
+        subs = [substitutions[i] for i in range(self.nvars)]
         out = Polynomial.zero(self.nvars)
         for e, c in self.terms.items():
             term = Polynomial.constant(self.nvars, c)

@@ -134,12 +134,6 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 

@@ -222,6 +222,21 @@ def test_bad_deck_param_is_input_error(capsys, tmp_path, param):
     assert "at line 5" in captured.err
 
 
+@pytest.mark.parametrize("old, new", [("compact=false", "compact=ture"),
+                                      ("n=3", "n=3 n=5")])
+def test_misread_deck_param_is_input_error(capsys, tmp_path, old, new):
+    """A misspelt boolean or a repeated key in the cubic-cone deck's
+    [params] is refused at its line, not run with a guessed value."""
+    deck = tmp_path / "cubic.deck"
+    deck.write_text(EXAMPLE_DECKS["cubic-cone"].replace(old, new))
+    code = main(["rate", "--input", str(deck), "--format", "kv"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert "at line 5" in captured.err
+
+
 @pytest.mark.parametrize("flags", [["--compact"], ["--n", "7"],
                                    ["--alpha", "5"], ["--abs-weight", "9"]])
 @pytest.mark.parametrize("deck", [["--example", "cubic-cone"],

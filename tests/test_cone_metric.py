@@ -120,6 +120,33 @@ def test_scaling_exponents_closed_form():
     assert scaling_exponent(TensorType(p_h=2, q_v=1), d) == 2 * d - (d + 1)
 
 
+def _basis_tensor_chain(kind, n):
+    """The if-chain basis_tensor read before it read TENSOR_TYPES."""
+    T = np.zeros((n + 1, n + 1), dtype=complex)
+    if kind == "vh":
+        T[1, 0] = 1.0
+    elif kind == "hv":
+        T[0, 1] = 1.0
+    elif kind == "vv":
+        T[0, 0] = 1.0
+    elif kind == "hh":
+        T[1, 1] = 1.0
+    else:
+        raise ValueError(kind)
+    return T
+
+
+def test_basis_tensor_reads_the_tensor_table():
+    for n in (1, 2, 3):
+        for kind in ("vh", "hv", "vv", "hh"):
+            T = basis_tensor(kind, n)
+            assert T.dtype == complex and T.shape == (n + 1, n + 1)
+            assert np.array_equal(T, _basis_tensor_chain(kind, n)), kind
+    for kind in ("xx", "VH", ""):
+        with pytest.raises(ValueError, match=f"^{kind}$"):
+            basis_tensor(kind, 1)
+
+
 def test_scaling_slopes_match_prediction():
     ch = ConeChart(Fraction(1, 2), 1, (0,), 1.0, fubini_study_potential(1))
     for kind, ttype in TENSOR_TYPES.items():

@@ -5,7 +5,8 @@ square-and-multiply is rational.power, and the Beltrami source
 -a(zeta + zfrak) (1 + conj(d zfrak)) is formed only in
 dbar._beltrami_source.  src keeps only what the package, the bench or
 the demos reach, plus a named library API; test oracles live in the
-tests."""
+tests.  Every method of src is referenced, and every defaulted parameter
+is passed, somewhere in src, the bench, the demos or the tests."""
 
 import ast
 import pathlib
@@ -175,10 +176,10 @@ def _unreferenced(labels, users):
     return out
 
 
-def _sources(*dirs):
+def _sources(*dirs, tests=False):
     return {str(path): path.read_text() for d in dirs
             for path in sorted(d.glob("*.py"))
-            if not path.name.startswith("test_")}
+            if tests or not path.name.startswith("test_")}
 
 
 def test_src_keeps_only_what_is_reached():
@@ -205,3 +206,162 @@ def test_unreferenced_scan_flags_a_planted_name():
                 "import planted as p\nn = p.rank([])\n"):
         assert _unreferenced(["planted.py"], {**planted, "other.py": use}) \
             == {"orphan", "Orphan"}, use
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _unreferenced_methods(labels, users):
+    """Class.method for each method, dunders aside, of a top-level class of
+    the modules `labels` whose name no module of `users` reads as an
+    attribute (`x.method`) outside the method itself.  A bare name of the
+    same spelling (a parameter, a local) is no reference."""
+    trees = {label: ast.parse(text) for label, text in users.items()}
+    reads = {}
+    for label, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((label, node.lineno))
+    out = set()
+    for label in labels:
+        for cls in trees[label].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and not _is_dunder(fn.name)
+                        and all(where == label
+                                and fn.lineno <= line <= fn.end_lineno
+                                for where, line in reads.get(fn.name, ()))):
+                    out.add(f"{cls.name}.{fn.name}")
+    return out
+
+
+def _calls(trees):
+    """callee name -> [(positional count, keyword names, starred)] over
+    every call of `trees`.  f(...) and x.f(...) both call f, a name
+    imported `as` another calls the original, and a call with *args or
+    **kwargs is starred."""
+    calls = {}
+    for tree in trees:
+        alias = {a.asname: a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 for a in node.names if a.asname}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+            elif isinstance(node.func, ast.Name):
+                name = alias.get(node.func.id, node.func.id)
+            else:
+                continue
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, starred))
+    return calls
+
+
+def _functions(tree):
+    """(qualified name, callee name, def, bound) for each top-level function
+    and each method of a top-level class; __init__ is called by its
+    class's name, and a bound method's first parameter is implicit."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef) or (
+                        _is_dunder(fn.name) and fn.name != "__init__"):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                callee = node.name if fn.name == "__init__" else fn.name
+                yield f"{node.name}.{fn.name}", callee, fn, not static
+
+
+def _unset_parameters(labels, users):
+    """'function(parameter)' for each parameter with a default, of a
+    function or method of the modules `labels`, that no call in `users`
+    passes, by keyword, by position or through *args/**kwargs."""
+    calls = _calls(ast.parse(text) for text in users.values())
+    out = set()
+    for label in labels:
+        for qual, callee, fn, bound in _functions(ast.parse(users[label])):
+            args = fn.args
+            positional = (args.posonlyargs + args.args)[int(bound):]
+            first = len(positional) - len(args.defaults)
+            defaulted = [(p.arg, i) for i, p in enumerate(positional)
+                         if i >= first]
+            defaulted += [(p.arg, None) for p, d in
+                          zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for name, index in defaulted:
+                if not any(starred or name in keywords
+                           or (index is not None and npos > index)
+                           for npos, keywords, starred
+                           in calls.get(callee, ())):
+                    out.add(f"{qual}({name})")
+    return out
+
+
+def _everything():
+    return _sources(SRC), _sources(SRC, REPO / "bench", REPO / "demos",
+                                   REPO / "tests", tests=True)
+
+
+def test_src_methods_are_referenced():
+    modules, users = _everything()
+    assert len(users) > len(modules) + 20
+    assert _unreferenced_methods(modules, users) == set()
+
+
+def test_src_defaults_are_passed():
+    modules, users = _everything()
+    assert _unset_parameters(modules, users) == set()
+
+
+PLANTED = {
+    "planted.py": "class Shape:\n"
+                  "    def __init__(self, n, scale=1):\n"
+                  "        self.n = n * scale\n\n"
+                  "    def area(self):\n"
+                  "        return self.n\n\n"
+                  "    def orphan(self):\n"
+                  "        return self.orphan()\n\n\n"
+                  "def grow(shape, step=1, *, fast=False):\n"
+                  "    return shape.area() + step\n",
+    "user.py": "from planted import Shape, grow\n\n\n"
+               "def orphan(orphan):\n"
+               "    return grow(Shape(orphan), fast=True)\n",
+}
+
+
+def test_method_scan_flags_a_planted_method():
+    assert _unreferenced_methods(["planted.py"], PLANTED) == {"Shape.orphan"}
+    other = {**PLANTED, "other.py": "def f(s):\n    return s.orphan\n"}
+    assert _unreferenced_methods(["planted.py"], other) == set()
+
+
+def test_parameter_scan_flags_a_planted_parameter():
+    unset = {"Shape.__init__(scale)", "grow(step)"}
+    assert _unset_parameters(["planted.py"], PLANTED) == unset
+    # a call of another name, or the keyword of another parameter, passes
+    # nothing
+    for use in ("other(Shape(1), 2)\n", "grow(Shape(1), fast=False)\n"):
+        assert _unset_parameters(["planted.py"],
+                                 {**PLANTED, "other.py": use}) == unset, use
+    for use, cleared in (
+            ("grow(Shape(1), step=2)\n", "grow(step)"),
+            ("grow(Shape(1), 2)\n", "grow(step)"),
+            ("Shape(1, 2)\n", "Shape.__init__(scale)"),
+            ("from planted import grow as g\ng(Shape(1), 3)\n", "grow(step)"),
+            ("from planted import Shape as S\nS(1, scale=2)\n",
+             "Shape.__init__(scale)"),
+            ("grow(Shape(1), **opts)\n", "grow(step)"),
+            ("grow(*args)\n", "grow(step)")):
+        assert _unset_parameters(["planted.py"],
+                                 {**PLANTED, "other.py": use}) \
+            == unset - {cleared}, use

@@ -543,6 +543,30 @@ def test_bad_params_value_is_a_parse_error(param, value):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("value, compact", [
+    ("1", True), ("true", True), ("Yes", True),
+    ("0", False), ("FALSE", False), ("no", False)])
+def test_params_compact_values(value, compact):
+    deck = parse_cone_deck(f"[defining]\nz1^2+z2^2\n[params] compact={value}\n")
+    assert deck.compact is compact
+
+
+@pytest.mark.parametrize("params, line, message", [
+    ("[params] n=2 compact=ture", 3, "invalid value 'ture' for compact"),
+    ("[params] compact= n=2", 3, "invalid value '' for compact"),
+    ("[params] n=3 n=5", 3, "repeated parameter 'n'"),
+    ("[params] alpha=2, ALPHA=2", 3, "repeated parameter 'alpha'"),
+    ("[params] compact=yes\n\ncompact=no", 5, "repeated parameter 'compact'"),
+], ids=["misspelt-bool", "empty-bool", "repeat", "repeat-in-other-case",
+        "repeat-on-another-line"])
+def test_params_misreads_are_parse_errors(params, line, message):
+    """A [params] line is read whole or refused: no value falls back to a
+    default and no key is silently read twice."""
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_cone_deck(f"[defining]\nz1^2+z2^2\n{params}\n")
+    assert exc.value.line == line
+
+
 def test_cone_deck_header_content_is_an_error():
     deck = "[defining] z1^3\nz1^2+z2^2\n[perturbation] z1 ; e=1\n"
     with pytest.raises(ParseError, match="after the \\[defining\\] header") \
