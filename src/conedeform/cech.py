@@ -583,12 +583,17 @@ class _Walker:
     step and the walk goes on to order k + 1; the deepest chain gives
     m(X, D) and notes flag loci that cannot be solved exactly.  With
     comfortable=False the walk is the splitting-only tower: entries of kind
-    "splitting-tower", no record and no notes."""
+    "splitting-tower", no record and no notes.
 
-    def __init__(self, target_order, ledger, comfortable):
+    base_steps memoizes _base_step by (k, next_param) and then the state,
+    matched by ==; the walkers of one tree share it, so the tower does not
+    repeat a base step that the chain took on the same state."""
+
+    def __init__(self, target_order, ledger, comfortable, base_steps):
         self.target = target_order
         self.ledger = ledger
         self.comfortable = comfortable
+        self.base_steps = base_steps
         self.best_m = 1
         self.best_lin = 0
         self.best_state = None
@@ -622,6 +627,15 @@ class _Walker:
                  chain + (f" [{desc}]" if desc else ""))
                 for sub, desc in branches]
 
+    def _base_step(self, state, k, next_param):
+        seen = self.base_steps.setdefault((k, next_param), [])
+        for old, step in seen:
+            if old == state:
+                return step
+        step = _base_step(state, k, next_param)
+        seen.append((state, step))
+        return step
+
     def walk(self, state, active, next_param, k, chain):
         if k > self.target:
             if self.comfortable:
@@ -629,7 +643,7 @@ class _Walker:
             return
         obs = splitting_obstruction(state, k)
         for st, act, ch in self._enter(obs, state, active, chain, k - 1):
-            st, params = _base_step(st, k, next_param)
+            st, params = self._base_step(st, k, next_param)
             if params:
                 self.ledger.families.setdefault(k, len(params))
             act = act + params
@@ -647,16 +661,14 @@ class _Walker:
 
 
 def splitting_tower(t: TruncatedTransition, target_order: int,
-                    ledger: ObstructionLedger | None = None):
+                    ledger: ObstructionLedger, base_steps: dict):
     """Base-series-only normalization: the obstruction-tree walk without
-    the normal steps.  Records the relative splitting obstructions g_k and
-    their vanishing loci over the lifting families as "splitting-tower"
-    entries, without requiring comfortable structure.  Returns the ledger."""
-    if ledger is None:
-        ledger = ObstructionLedger()
-    _Walker(target_order, ledger, comfortable=False).walk(
+    the normal steps.  Adds the relative splitting obstructions g_k and
+    their vanishing loci over the lifting families to the ledger as
+    "splitting-tower" entries, without requiring comfortable structure.
+    base_steps is the _Walker memo of the chain walk on the same germ."""
+    _Walker(target_order, ledger, False, base_steps).walk(
         lift_params(t), [], 0, 1, "tower")
-    return ledger
 
 
 def normalize(t: TruncatedTransition, target_order: int) -> NormalizeResult:
@@ -676,9 +688,10 @@ def normalize(t: TruncatedTransition, target_order: int) -> NormalizeResult:
             f"target order {target_order} needs series data beyond the "
             f"truncation order {t.order}")
     ledger = ObstructionLedger()
-    walker = _Walker(target_order, ledger, comfortable=True)
+    base_steps = {}
+    walker = _Walker(target_order, ledger, True, base_steps)
     walker.walk(lift_params(t), [], 0, 1, "chain")
-    splitting_tower(t, target_order, ledger)
+    splitting_tower(t, target_order, ledger, base_steps)
 
     m = walker.best_m
     lin = walker.best_lin

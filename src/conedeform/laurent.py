@@ -39,6 +39,13 @@ class LaurentPoly:
         self.coeffs = clean
 
     @staticmethod
+    def _raw(coeffs):
+        """Trusted constructor: int exponents; only zeros are dropped."""
+        L = object.__new__(LaurentPoly)
+        L.coeffs = {e: c for e, c in coeffs.items() if c != 0}
+        return L
+
+    @staticmethod
     def zero():
         return LaurentPoly()
 
@@ -73,15 +80,12 @@ class LaurentPoly:
             return NotImplemented
         t = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = t.get(e, 0) + c
-            if s == 0:
-                t.pop(e, None)
-            else:
-                t[e] = s
-        return LaurentPoly(t)
+            s = t.get(e)
+            t[e] = c if s is None else s + c
+        return LaurentPoly._raw(t)
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._raw({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -92,9 +96,10 @@ class LaurentPoly:
             for e1, c1 in self.coeffs.items():
                 for e2, c2 in other.coeffs.items():
                     e = e1 + e2
-                    t[e] = t.get(e, 0) + c1 * c2
-            return LaurentPoly(t)
-        return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
+                    s = t.get(e)
+                    t[e] = c1 * c2 if s is None else s + c1 * c2
+            return LaurentPoly._raw(t)
+        return LaurentPoly._raw({e: c * other for e, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -103,10 +108,10 @@ class LaurentPoly:
 
     def shift(self, k):
         """Multiply by z^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return LaurentPoly._raw({e + k: c for e, c in self.coeffs.items()})
 
     def map_coeffs(self, fn):
-        return LaurentPoly({e: fn(c) for e, c in self.coeffs.items()})
+        return LaurentPoly._raw({e: fn(c) for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
@@ -157,13 +162,14 @@ class LaurentPoly:
 class YSeries:
     """Power series sum_a c_a(z) y^a truncated at y^order, c_a Laurent."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "_taylor")
 
     def __init__(self, order, coeffs=None):
         self.order = order
         cs = list(coeffs or [])
         cs += [LaurentPoly.zero()] * (order + 1 - len(cs))
         self.coeffs = cs[: order + 1]
+        self._taylor = None
 
     @staticmethod
     def zero(order):
@@ -232,28 +238,63 @@ class YSeries:
                 break
         return out * inv_lead
 
-    def compose_laurent(self, L: LaurentPoly):
-        """Evaluate a Laurent polynomial at this series.
+    def _taylor_data(self):
+        """(e, c_power, delta_powers) for this series written as
+        c z^e + delta with delta = O(y): c_power(k) is c^k for any int k,
+        and delta_powers[j] is delta^j for 1 <= j <= order.  Formed once per
+        series and shared by every composition with it."""
+        if self._taylor is None:
+            e, c = self.coeffs[0].monomial_data()
+            cpow = {1: c, -1: _inv_coeff(c)}
 
-        One power ladder per sign of exponent: the inverse is formed once,
-        and each power of the series (or of its inverse) is the previous
-        one times the power of the gap between their exponents, which is
-        one factor when the exponents are consecutive."""
-        one = YSeries.const(self.order, LaurentPoly.monomial(0))
-        out = YSeries.const(self.order,
-                            LaurentPoly.monomial(0, L.coefficient(0)))
-        for sign in (1, -1):
-            exps = sorted(sign * e for e in L.coeffs if sign * e > 0)
-            if not exps:
-                continue
-            base = self if sign > 0 else self.inverse()
-            acc, prev = None, 0
-            for e in exps:
-                step = power(base, e - prev, one)
-                acc = step if acc is None else acc * step
-                prev = e
-                out = out + acc * LaurentPoly.monomial(0, L.coeffs[sign * e])
-        return out
+            def c_power(k):
+                if k not in cpow:
+                    step = 1 if k > 0 else -1
+                    cpow[k] = c_power(k - step) * cpow[step]
+                return cpow[k]
+            delta = YSeries(self.order,
+                            [LaurentPoly.zero()] + self.coeffs[1:])
+            powers = [None, delta]
+            for _ in range(2, self.order + 1):
+                powers.append(powers[-1] * delta)
+            self._taylor = (e, c_power, powers)
+        return self._taylor
+
+    def compose_laurent(self, L: LaurentPoly):
+        """Evaluate a Laurent polynomial at this series by a Taylor shift.
+
+        The series must be c z^e + delta with delta = O(y).  Then
+        L(c z^e + delta) = sum_j T_j delta^j, where T_j = L^(j)(c z^e) / j!
+        = sum_n a_n C(n, j) c^(n - j) z^(e (n - j)) has no series product in
+        it, and C(n, j) = (-1)^j C(j - n - 1, j) for n < 0 (Brent and Kung,
+        J. ACM 25 (1978)).  The powers of delta come from _taylor_data."""
+        K = self.order
+        if L.is_zero():
+            return YSeries.zero(K)
+        e, c_power, powers = self._taylor_data()
+        taylor = [{} for _ in range(K + 1)]
+        for n, a in L.coeffs.items():
+            b = 1                                   # C(n, j)
+            for j in range(K + 1):
+                if j:
+                    b = b * (n - j + 1) // j
+                    if not b:
+                        break
+                term = a if j == n else a * (c_power(n - j) * b)
+                t, x = taylor[j], e * (n - j)
+                s = t.get(x)
+                t[x] = term if s is None else s + term
+        out = [LaurentPoly._raw(taylor[0])]
+        for deg in range(1, K + 1):
+            t = {}
+            for j in range(1, deg + 1):
+                for x1, c1 in taylor[j].items():
+                    for x2, c2 in powers[j].coeffs[deg].coeffs.items():
+                        x, term = x1 + x2, c1 * c2
+                        s = t.get(x)
+                        t[x] = term if s is None else s + term
+            out.append(LaurentPoly._raw(t))
+        return YSeries(K, out)
 
     def substitute(self, z_series: "YSeries", y_series: "YSeries"):
         """Evaluate sum c_a(z) y^a at (z_series, y_series)."""

@@ -354,7 +354,10 @@ def parse_transition_deck(text) -> TruncatedTransition:
     declared_d = None
     for ln, name, line in _sections(text, series, ("normal-degree",)):
         if name == "normal-degree":
-            declared_d = _parse_normal_degree(line, ln)
+            d = _parse_normal_degree(line, ln)
+            if declared_d is not None:
+                raise ParseError("repeated normal degree", ln, 1)
+            declared_d = d
             continue
         if ":" not in line:
             raise ParseError("expected 'a<k>: <laurent>'", ln, 1)

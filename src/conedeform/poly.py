@@ -37,6 +37,16 @@ class Polynomial:
         self.nvars = nvars
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
+    @staticmethod
+    def _raw(nvars, terms):
+        """Trusted constructor: exponents are already tuples of nvars
+        nonnegative ints and coefficients Fraction or GaussianRational;
+        only the zero coefficients are dropped."""
+        p = object.__new__(Polynomial)
+        p.nvars = nvars
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
+
     # -- constructors -------------------------------------------------------
     @staticmethod
     def zero(nvars):
@@ -94,13 +104,15 @@ class Polynomial:
         o = self._as_poly(other)
         t = dict(self.terms)
         for e, c in o.terms.items():
-            t[e] = t.get(e, Fraction(0)) + c
-        return Polynomial(self.nvars, t)
+            s = t.get(e)
+            t[e] = c if s is None else s + c
+        return Polynomial._raw(self.nvars, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.nvars,
+                               {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._as_poly(other))
@@ -111,15 +123,16 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = _coeff(other)
-            return Polynomial(self.nvars,
-                              {e: k * c for e, k in self.terms.items()})
+            return Polynomial._raw(self.nvars,
+                                   {e: k * c for e, k in self.terms.items()})
         o = self._as_poly(other)
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = t.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.nvars, t)
+                s = t.get(e)
+                t[e] = c1 * c2 if s is None else s + c1 * c2
+        return Polynomial._raw(self.nvars, t)
 
     __rmul__ = __mul__
 
@@ -136,7 +149,11 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return self.nvars == other.nvars and self.terms == other.terms
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return self == Polynomial.constant(self.nvars, other)
+            # the constant polynomial other, without building it
+            if not other:
+                return not self.terms
+            return (len(self.terms) == 1
+                    and self.terms.get((0,) * self.nvars) == other)
         return NotImplemented
 
     def __hash__(self):

@@ -51,6 +51,14 @@ class GaussianRational:
         raise AttributeError("GaussianRational is immutable")
 
     @staticmethod
+    def _make(re: Fraction, im: Fraction) -> "GaussianRational":
+        """Trusted constructor: both parts are already Fractions."""
+        g = object.__new__(GaussianRational)
+        object.__setattr__(g, "re", re)
+        object.__setattr__(g, "im", im)
+        return g
+
+    @staticmethod
     def coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
@@ -66,15 +74,17 @@ class GaussianRational:
 
     # -- ring ops ---------------------------------------------------------
     def __add__(self, other):
-        o = GaussianRational._try(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussianRational):
+            return GaussianRational._make(self.re + other.re,
+                                          self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational._make(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._make(-self.re, -self.im)
 
     def __sub__(self, other):
         o = GaussianRational._try(other)
@@ -89,11 +99,13 @@ class GaussianRational:
         return o + (-self)
 
     def __mul__(self, other):
-        o = GaussianRational._try(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        if isinstance(other, GaussianRational):
+            return GaussianRational._make(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational._make(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -694,3 +694,149 @@ def test_scaling_matches_explicit_coercion(monkeypatch):
             assert _shape(invert_transition(t)) \
                 == _shape(_oracle_invert_transition(t))
     assert seen == {"GaussianRational", "Polynomial"}
+
+
+# ---------------------------------------------------------------------------
+# one base step per tree: the chain walk and the tower share the memo
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LEDGERS))
+def test_normalize_takes_each_base_step_once(monkeypatch, name):
+    """normalize calls _base_step once per distinct (k, next_param, state);
+    the tower reuses what the chain walk computed, here at least its
+    order-1 step, and the golden ledger does not change."""
+    t, order = _golden_germs()[name]
+    calls, requests = [], []
+    base_step, walker_step = cech._base_step, cech._Walker._base_step
+
+    def recorded(state, k, next_param):
+        calls.append((k, next_param, state))
+        return base_step(state, k, next_param)
+
+    def requested(self, state, k, next_param):
+        requests.append((self.comfortable, k))
+        return walker_step(self, state, k, next_param)
+    monkeypatch.setattr(cech, "_base_step", recorded)
+    monkeypatch.setattr(cech._Walker, "_base_step", requested)
+    res = normalize(t, order)
+    for i, (k, np_, state) in enumerate(calls):
+        assert not any((k, np_) == (k2, np2) and state == s2
+                       for k2, np2, s2 in calls[:i])
+    if requests:
+        assert (False, 1) in requests
+        assert len(calls) < len(requests)
+    assert len(res.ledger.entries) == len(GOLDEN_LEDGERS[name][0])
+
+
+# ---------------------------------------------------------------------------
+# trusted constructors against the validating ones
+
+
+def _validating(m):
+    """Route Polynomial._raw, LaurentPoly._raw and GaussianRational._make
+    through the public, validating constructors."""
+    m.setattr(Polynomial, "_raw",
+              staticmethod(lambda nvars, terms: Polynomial(nvars, terms)))
+    m.setattr(LaurentPoly, "_raw", staticmethod(LaurentPoly))
+    m.setattr(GR, "_make", staticmethod(GR))
+
+
+def _exact_run(germs):
+    """What the cech engine makes of plain and lifted germs: the chart
+    swap, the order-1 base step and the whole normalization."""
+    out = []
+    for t, order in germs:
+        lifted = lift_params(t)
+        res = normalize(t, order)
+        out.append([invert_transition(t), invert_transition(lifted),
+                    res.transition,
+                    [(e.class_vector, e.locus.points, e.locus.substitution)
+                     for e in res.ledger.entries]])
+        if splitting_obstruction(lifted, 1).vanishes():
+            out.append(cech._base_step(lifted, 1, 0))
+    return out
+
+
+def test_trusted_constructors_match_validating(monkeypatch):
+    """Seeded differential test: every value, coefficient type and dict
+    order is what the validating constructors give."""
+    from conedeform.parsing import parse_transition_deck
+    rng = random.Random(47)
+    germs = [(p1p1_diagonal(4), 3), (p2_conic(4), 2),
+             (linear_transition(GR(Fraction(3, 2), -1), 1, 4), 3),
+             (parse_transition_deck(_dense_germ_deck(rng, 1, 3)), 2),
+             (parse_transition_deck(_dense_germ_deck(rng, 2, 3)), 2)]
+    trusted = _shape(_exact_run(germs))
+    with monkeypatch.context() as m:
+        _validating(m)
+        assert Polynomial._raw(1, {(0,): GR(0)}).terms == {}
+        validated = _shape(_exact_run(germs))
+    assert trusted == validated
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: m(X, D), the obstruction orders and the locus kinds
+# are invariants of the germ, so neither a chart change that is the identity
+# on D nor the chart swap may move them (the lifting parameters may be
+# reparametrized, so class vectors are not compared)
+
+
+def _invariants(t, order):
+    res = normalize(t, order)
+    return (res.m_comfortable,
+            [(e.order, e.kind, e.locus.kind) for e in res.ledger.entries])
+
+
+def _metamorphic_germs():
+    from conedeform.parsing import parse_transition_deck
+    rng = random.Random(53)
+    germs = {"p1p1_diagonal(5)": (p1p1_diagonal(5), 3),
+             "p2_conic(5)": (p2_conic(5), 3),
+             "linear_transition(1, 1, 5)": (linear_transition(1, 1, 5), 4)}
+    for d, order, target in ((1, 3, 2), (2, 3, 2), (3, 4, 3)):
+        germs[f"dense d={d}"] = (parse_transition_deck(
+            _dense_germ_deck(rng, d, order)), target)
+    return germs
+
+
+def _chart_polynomial(rng):
+    return LaurentPoly({e: GR(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                              rng.randint(-1, 1))
+                        for e in range(rng.randint(1, 3))})
+
+
+# The order-2 comfortable class of linear_transition(1, 1, 5) is
+# -a1*a2 - a3: nonlinear in several parameters, so vanishing_locus only
+# checks the natural chain, which lies on it.  A chart change moves the
+# class to -a1*a2 + c*a2 - a3 + c', whose locus (a graph over a1, a2) misses
+# the natural chain: the locus reads "unknown" and m(X, D) drops from 4 to 2.
+NATURAL_CHAIN_IS_CHART_DEPENDENT = pytest.mark.xfail(
+    strict=True, reason="the natural-chain fallback of vanishing_locus is "
+                        "not invariant under chart changes")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=NATURAL_CHAIN_IS_CHART_DEPENDENT)
+    if name == "linear_transition(1, 1, 5)" else name
+    for name in sorted(_metamorphic_germs())])
+def test_cech_invariants_under_chart_change_identity_on_D(name):
+    t, order = _metamorphic_germs()[name]
+    rng = random.Random(59 + len(name))
+    before = _invariants(t, order)
+    for trial in range(2):
+        k = rng.randint(1, 2)
+        moved = apply_z_step(t, _chart_polynomial(rng), _chart_polynomial(rng),
+                             k)
+        if trial:
+            moved = apply_y_step(moved, _chart_polynomial(rng),
+                                 _chart_polynomial(rng), rng.randint(1, 2))
+        assert moved != t
+        assert _invariants(moved, order) == before
+
+
+@pytest.mark.parametrize("name", sorted(_metamorphic_germs()))
+def test_cech_invariants_under_chart_swap(name):
+    t, order = _metamorphic_germs()[name]
+    swapped = invert_transition(t)
+    assert swapped.normal_degree == t.normal_degree
+    assert _invariants(swapped, order) == _invariants(t, order)

@@ -92,6 +92,19 @@ def test_parameter_budget_refusal(capsys, tmp_path):
         capsys.readouterr().err
 
 
+def test_repeated_normal_degree_is_input_error(capsys, tmp_path):
+    """d=5 alone is refused for this germ; a later d=2 does not replace it."""
+    deck = tmp_path / "germ.deck"
+    deck.write_text("[normal-degree] d=5\nd=2\n[y-series]\na1: -1*z^-2\n"
+                    "a2: 0\n")
+    code = main(["cech", "--input", str(deck), "--order", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert "at line 2" in captured.err
+
+
 def test_dbar_zero_model(capsys, tmp_path):
     report = tmp_path / "report.txt"
     code, out = run(capsys, "dbar", "--nu", "0.0", "--R", "0.3", "--rings",

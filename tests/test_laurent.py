@@ -161,3 +161,80 @@ def test_compose_laurent_matches_per_exponent_powers(params):
         L = LaurentPoly({e: coeff() for e in exps})
         assert S.compose_laurent(L) == _compose_per_exponent(S, L)
     assert S.compose_laurent(LaurentPoly.zero()) == YSeries.zero(K)
+
+
+def _compose_ladder(S, L):
+    """The earlier compose_laurent, kept as an oracle for the Taylor shift:
+    one power ladder per sign of exponent, each power of the series (or of
+    its inverse) the previous one times the power of the exponent gap."""
+    from conedeform.rational import power
+    one = YSeries.const(S.order, LaurentPoly.monomial(0))
+    out = YSeries.const(S.order, LaurentPoly.monomial(0, L.coefficient(0)))
+    for sign in (1, -1):
+        exps = sorted(sign * e for e in L.coeffs if sign * e > 0)
+        if not exps:
+            continue
+        base = S if sign > 0 else S.inverse()
+        acc, prev = None, 0
+        for e in exps:
+            step = power(base, e - prev, one)
+            acc = step if acc is None else acc * step
+            prev = e
+            out = out + acc * LaurentPoly.monomial(0, L.coeffs[sign * e])
+    return out
+
+
+def _typed(S):
+    """A series spelled out with each coefficient's type, in exponent
+    order, so that equal values of different types compare unequal."""
+    def scalar(c):
+        return type(c).__name__, c
+
+    def coeff(c):
+        if isinstance(c, Polynomial):
+            return "P", sorted((e, scalar(x)) for e, x in c.terms.items())
+        return scalar(c)
+    return [sorted((e, coeff(c)) for e, c in L.coeffs.items())
+            for L in S.coeffs]
+
+
+@pytest.mark.parametrize("kind", ["fraction", "gaussian", "params"])
+def test_taylor_shift_matches_power_ladder(kind):
+    """The Taylor-shift composition gives the earlier ladder's values and
+    coefficient types, and the per-exponent oracle's values, for leads
+    c z^e with e of either sign or zero and orders 1 to 4."""
+    rng = random.Random({"fraction": 11, "gaussian": 12, "params": 13}[kind])
+
+    def scalar():
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        return c if kind == "fraction" else GaussianRational(
+            c, rng.randint(-2, 2))
+    if kind == "params":
+        coeff = lambda: _rand_param_poly(rng)
+        unit = lambda: Polynomial.constant(2, GaussianRational(
+            rng.choice([1, 2, -1, 3]), rng.choice([0, 0, 1])))
+    else:
+        coeff = scalar
+        unit = lambda: scalar() or Fraction(1)
+    for trial in range(16):
+        K = 1 + trial % 4
+        lead = LaurentPoly.monomial(rng.randint(-2, 2), unit())
+        rest = [LaurentPoly({rng.randint(-3, 2): coeff()
+                             for _ in range(rng.randint(0, 3))})
+                for _ in range(K)]
+        S = YSeries(K, [lead] + rest)
+        exps = {rng.randint(-5, 5) for _ in range(rng.randint(1, 5))}
+        L = LaurentPoly({e: coeff() for e in exps})
+        got = S.compose_laurent(L)
+        assert _typed(got) == _typed(_compose_ladder(S, L))
+        assert got == _compose_per_exponent(S, L)
+        # a second composition with the same series reuses its delta powers
+        L2 = L * LaurentPoly.monomial(1, coeff()) + L
+        assert _typed(S.compose_laurent(L2)) == _typed(_compose_ladder(S, L2))
+
+
+def test_compose_laurent_needs_a_monomial_lead():
+    one = LaurentPoly.monomial(0)
+    S = YSeries(2, [one + LaurentPoly.monomial(1), one])
+    with pytest.raises(ValueError, match="not a monomial"):
+        S.compose_laurent(LaurentPoly.monomial(2))

@@ -113,6 +113,19 @@ def test_transition_deck_degree_mismatch():
         parse_transition_deck("[normal-degree] d=3\n[y-series]\na1: -z^-2\n")
 
 
+@pytest.mark.parametrize("deck, line", [
+    ("[normal-degree] d=5\nd=2\n[y-series]\na1: -1*z^-2\n", 2),
+    ("[normal-degree] d=2\n[y-series]\na1: -1*z^-2\n[normal-degree] d=2\n",
+     4),
+], ids=["next-line", "second-header"])
+def test_repeated_normal_degree_is_parse_error(deck, line):
+    """A second [normal-degree] value is refused at its line, not read in
+    place of the first."""
+    with pytest.raises(ParseError, match="repeated normal degree") as exc:
+        parse_transition_deck(deck)
+    assert exc.value.line == line
+
+
 def test_parse_potential_expressions():
     pot = parse_potential("1+|z|^2")
     assert pot.dimD == 1

@@ -100,3 +100,34 @@ def test_random_ring_axioms():
         a, b, c = rnd(), rnd(), rnd()
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
+
+
+def _eq_via_constant(p, c):
+    """The earlier Polynomial == scalar: compare with the constant
+    polynomial c, built."""
+    return p == Polynomial.constant(p.nvars, c)
+
+
+def test_scalar_equality_matches_constant_polynomial():
+    """p == c reads p's terms; it agrees with comparing against the built
+    constant polynomial for 0, ints, Fractions and Gaussian rationals,
+    both ways round."""
+    from conedeform.rational import GaussianRational as GR
+    rng = random.Random(19)
+    x = Polynomial.variable(3, 0)
+    scalars = [0, 1, -2, Fraction(0), Fraction(3, 2), Fraction(-1, 3),
+               GR(0), GR(2), GR(Fraction(1, 2), 1), GR(0, -1), True]
+    polys = [Polynomial.zero(3), x, x + 2, x * 0 + 1,
+             Polynomial.constant(3, GR(2)), Polynomial.constant(3, 2),
+             Polynomial.constant(3, GR(0, -1)), Polynomial.constant(3, 1)]
+    for _ in range(20):
+        c = rng.choice(scalars)
+        polys.append(Polynomial.constant(3, c) + rng.choice([x * 0, x]))
+    hits = 0
+    for p in polys:
+        for c in scalars:
+            assert (p == c) is _eq_via_constant(p, c)
+            assert (c == p) is _eq_via_constant(p, c)
+            assert (p != c) is not _eq_via_constant(p, c)
+            hits += p == c
+    assert 0 < hits < len(polys) * len(scalars)
