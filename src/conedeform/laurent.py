@@ -31,19 +31,7 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        clean = {}
-        for e, c in (coeffs or {}).items():
-            if c == 0:
-                continue
-            clean[int(e)] = c
-        self.coeffs = clean
-
-    @staticmethod
-    def _raw(coeffs):
-        """Trusted constructor: int exponents; only zeros are dropped."""
-        L = object.__new__(LaurentPoly)
-        L.coeffs = {e: c for e, c in coeffs.items() if c != 0}
-        return L
+        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
 
     @staticmethod
     def zero():
@@ -82,10 +70,10 @@ class LaurentPoly:
         for e, c in other.coeffs.items():
             s = t.get(e)
             t[e] = c if s is None else s + c
-        return LaurentPoly._raw(t)
+        return LaurentPoly(t)
 
     def __neg__(self):
-        return LaurentPoly._raw({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -98,8 +86,8 @@ class LaurentPoly:
                     e = e1 + e2
                     s = t.get(e)
                     t[e] = c1 * c2 if s is None else s + c1 * c2
-            return LaurentPoly._raw(t)
-        return LaurentPoly._raw({e: c * other for e, c in self.coeffs.items()})
+            return LaurentPoly(t)
+        return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -108,10 +96,10 @@ class LaurentPoly:
 
     def shift(self, k):
         """Multiply by z^k."""
-        return LaurentPoly._raw({e + k: c for e, c in self.coeffs.items()})
+        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
 
     def map_coeffs(self, fn):
-        return LaurentPoly._raw({e: fn(c) for e, c in self.coeffs.items()})
+        return LaurentPoly({e: fn(c) for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
@@ -242,15 +230,19 @@ class YSeries:
         """(e, c_power, delta_powers) for this series written as
         c z^e + delta with delta = O(y): c_power(k) is c^k for any int k,
         and delta_powers[j] is delta^j for 1 <= j <= order.  Formed once per
-        series and shared by every composition with it."""
+        series and shared by every composition with it; 1/c is formed only
+        when a negative power is asked for."""
         if self._taylor is None:
             e, c = self.coeffs[0].monomial_data()
-            cpow = {1: c, -1: _inv_coeff(c)}
+            cpow = {1: c}
 
             def c_power(k):
                 if k not in cpow:
-                    step = 1 if k > 0 else -1
-                    cpow[k] = c_power(k - step) * cpow[step]
+                    if k == -1:
+                        cpow[k] = _inv_coeff(c)
+                    else:
+                        step = 1 if k > 0 else -1
+                        cpow[k] = c_power(k - step) * c_power(step)
                 return cpow[k]
             delta = YSeries(self.order,
                             [LaurentPoly.zero()] + self.coeffs[1:])
@@ -263,7 +255,8 @@ class YSeries:
     def compose_laurent(self, L: LaurentPoly):
         """Evaluate a Laurent polynomial at this series by a Taylor shift.
 
-        The series must be c z^e + delta with delta = O(y).  Then
+        The series must be c z^e + delta with delta = O(y), and c must be
+        invertible when L has a negative exponent.  Then
         L(c z^e + delta) = sum_j T_j delta^j, where T_j = L^(j)(c z^e) / j!
         = sum_n a_n C(n, j) c^(n - j) z^(e (n - j)) has no series product in
         it, and C(n, j) = (-1)^j C(j - n - 1, j) for n < 0 (Brent and Kung,
@@ -284,7 +277,7 @@ class YSeries:
                 t, x = taylor[j], e * (n - j)
                 s = t.get(x)
                 t[x] = term if s is None else s + term
-        out = [LaurentPoly._raw(taylor[0])]
+        out = [LaurentPoly(taylor[0])]
         for deg in range(1, K + 1):
             t = {}
             for j in range(1, deg + 1):
@@ -293,7 +286,7 @@ class YSeries:
                         x, term = x1 + x2, c1 * c2
                         s = t.get(x)
                         t[x] = term if s is None else s + term
-            out.append(LaurentPoly._raw(t))
+            out.append(LaurentPoly(t))
         return YSeries(K, out)
 
     def substitute(self, z_series: "YSeries", y_series: "YSeries"):

@@ -733,11 +733,10 @@ def test_normalize_takes_each_base_step_once(monkeypatch, name):
 
 
 def _validating(m):
-    """Route Polynomial._raw, LaurentPoly._raw and GaussianRational._make
-    through the public, validating constructors."""
+    """Route Polynomial._raw and GaussianRational._make through the
+    public, validating constructors."""
     m.setattr(Polynomial, "_raw",
               staticmethod(lambda nvars, terms: Polynomial(nvars, terms)))
-    m.setattr(LaurentPoly, "_raw", staticmethod(LaurentPoly))
     m.setattr(GR, "_make", staticmethod(GR))
 
 

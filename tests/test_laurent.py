@@ -238,3 +238,20 @@ def test_compose_laurent_needs_a_monomial_lead():
     S = YSeries(2, [one + LaurentPoly.monomial(1), one])
     with pytest.raises(ValueError, match="not a monomial"):
         S.compose_laurent(LaurentPoly.monomial(2))
+
+
+def test_compose_laurent_inverts_the_lead_only_for_negative_exponents():
+    """A lead c z^e whose c is a nonconstant parameter polynomial composes
+    with any L of nonnegative support, as the power ladder did; a negative
+    exponent of L still needs 1/c."""
+    a1 = Polynomial.variable(2, 0)
+    c = a1 + Polynomial.constant(2, GaussianRational(2))
+    for e in (-1, 0, 1):
+        S = YSeries(2, [LaurentPoly.monomial(e, c),
+                        LaurentPoly.monomial(1, Polynomial.variable(2, 1)),
+                        LaurentPoly.monomial(0, a1)])
+        L = LaurentPoly({0: a1, 1: c, 3: Polynomial.constant(
+            2, GaussianRational(1, 1))})
+        assert _typed(S.compose_laurent(L)) == _typed(_compose_ladder(S, L))
+        with pytest.raises(ValueError, match="nonconstant"):
+            S.compose_laurent(LaurentPoly.monomial(-1, a1))
