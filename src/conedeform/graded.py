@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 
 from . import linalg
@@ -93,36 +92,47 @@ class T1Report:
 
 
 class _DegreeData:
-    """Monomial bookkeeping for one graded piece of the quotient ring."""
+    """The degree-j piece of the quotient ring, as a table of normal forms.
+
+    The products m*F_i, dense rows over the degree-j monomials filled from
+    the terms of F_i shifted by m, go through one `linalg.row_echelon`.
+    The monomials off its pivots are `free`, the quotient basis.
+    `normal_forms` maps each monomial to its class, a sparse dict {free
+    coordinate: coefficient}: a free monomial is its own coordinate, and a
+    pivot monomial is minus the free entries of its echelon row.
+    """
 
     def __init__(self, cone, j):
-        self.degree = j
         self.monomials = monomials_of_degree(cone.ambient_dim, j)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
-        gens = []
+        index = {m: i for i, m in enumerate(self.monomials)}
+        rows = []
         for f, d in cone.defining:
             for m in monomials_of_degree(cone.ambient_dim, j - d):
-                prod = Polynomial.monomial(cone.ambient_dim, m) * f
-                gens.append(self._vector(prod))
-        self.echelon, self.pivots = linalg.row_echelon(gens)
-        pivset = set(self.pivots)
+                row = [Fraction(0)] * len(self.monomials)
+                for e, c in f.terms.items():
+                    row[index[_shifted(e, m)]] = c
+                rows.append(row)
+        echelon, pivots = linalg.row_echelon(rows)
+        pivset = set(pivots)
         self.free = [i for i in range(len(self.monomials)) if i not in pivset]
+        self.normal_forms = {self.monomials[i]: {k: Fraction(1)}
+                             for k, i in enumerate(self.free)}
+        for row, p in zip(echelon, pivots):
+            self.normal_forms[self.monomials[p]] = {
+                k: -row[i] for k, i in enumerate(self.free) if row[i]}
 
-    def _vector(self, p):
-        v = [Fraction(0)] * len(self.monomials)
-        for e, c in p.terms.items():
-            v[self.index[e]] = v[self.index[e]] + c
-        return v
+    def reduce(self, terms, shift):
+        """Class of sum c * z^(e + shift) over terms {e: c}, as a sparse
+        dict over the free coordinates."""
+        out = {}
+        for e, c in terms.items():
+            for k, y in self.normal_forms[_shifted(e, shift)].items():
+                out[k] = out.get(k, 0) + c * y
+        return {k: x for k, x in out.items() if x}
 
-    def reduce(self, p):
-        """Coordinates of p mod the ideal, over the free monomial basis."""
-        if p.is_zero():
-            return [Fraction(0)] * len(self.free)
-        if not p.is_homogeneous(self.degree):
-            raise DegreeMismatchError(
-                f"expected a homogeneous polynomial of degree {self.degree}")
-        res = linalg.reduce_against(self._vector(p), self.echelon, self.pivots)
-        return [res[i] for i in self.free]
+
+def _shifted(e, m):
+    return tuple(a + b for a, b in zip(e, m))
 
 
 def _degree_data(cone, j) -> _DegreeData:
@@ -142,16 +152,15 @@ def quotient_basis(cone: ConeSingularity, j: int) -> GradedBasis:
 
 
 class _JacobianData:
-    """The Jacobian map at weight j: its image columns and their pivots.
+    """The Jacobian map at weight j, by the forward pivot rows of its image.
 
-    `columns` holds one image vector per source basis element, over the
-    concatenated target coordinates `labels`.  The pivot set of their span
-    is all that `t1_graded` reads: `img_pivots`, `rank` and `coker_coords`
-    come from `linalg.pivot_columns`.  `img_echelon`, the reduced echelon
-    form that `reduce_in_t1` reduces against, is built lazily on first
-    use.  Both lazy attributes come from the same forward elimination
-    pass in `linalg`, so `img_echelon`, built before the pivots are
-    asked for, supplies them too and a weight computation eliminates once.
+    `columns` holds one image vector per source basis element
+    (variable-major), a sparse dict over the concatenated target
+    coordinates `labels`.  Column (l, m) is built from the terms of each
+    dF_i/dz_l shifted by the source monomial m, read through the target's
+    normal forms.  One forward pass (`linalg._pivot_rows`) gives
+    `pivot_rows`: their columns give `rank` and `coker_coords`, and
+    `reduce_in_t1` reduces against them.
     """
 
     def __init__(self, cone, j):
@@ -165,36 +174,27 @@ class _JacobianData:
         self.total = len(self.labels)
         self.columns = []
         if src is not None and self.total > 0:
-            partials = [[f.derivative(l) for l in range(n)]
-                        for f, _ in cone.defining]
-            for l in range(n):
-                for mi in src.free:
-                    mono = Polynomial.monomial(n, src.monomials[mi])
-                    col = []
-                    for i, t in enumerate(self.targets):
-                        if t is None:
-                            continue
-                        col.extend(t.reduce(mono * partials[i][l]))
-                    self.columns.append(col)
+            partials = [[f.derivative(l).terms for f, _ in cone.defining]
+                        for l in range(n)]
+            self.columns = [self.concatenate(partials[l], src.monomials[mi])
+                            for l in range(n) for mi in src.free]
+        self.pivot_rows = linalg._pivot_rows(self.columns)[0]
+        self.rank = len(self.pivot_rows)
+        self.coker_coords = [i for i in range(self.total)
+                             if i not in self.pivot_rows]
 
-    @cached_property
-    def img_echelon(self):
-        echelon, pivots = linalg.row_echelon(self.columns)
-        vars(self).setdefault("img_pivots", pivots)
-        return echelon
-
-    @cached_property
-    def img_pivots(self):
-        return linalg.pivot_columns(self.columns)
-
-    @property
-    def rank(self):
-        return len(self.img_pivots)
-
-    @cached_property
-    def coker_coords(self):
-        pivset = set(self.img_pivots)
-        return [i for i in range(self.total) if i not in pivset]
+    def concatenate(self, parts, shift):
+        """Sparse concatenated target coordinates of the m-tuple of term
+        dicts `parts`, each shifted as in `_DegreeData.reduce`."""
+        vec = {}
+        offset = 0
+        for t, terms in zip(self.targets, parts):
+            if t is None:
+                continue
+            for k, x in t.reduce(terms, shift).items():
+                vec[offset + k] = x
+            offset += len(t.free)
+        return vec
 
 
 def _jacobian_data(cone, j) -> _JacobianData:
@@ -210,30 +210,26 @@ def jacobian_matrix(cone: ConeSingularity, j: int):
     of the degree-(j+1) basis, variable-major.
     """
     data = _jacobian_data(cone, j)
-    return [[col[i] for col in data.columns] for i in range(data.total)]
+    return [[col.get(i, Fraction(0)) for col in data.columns]
+            for i in range(data.total)]
 
 
 def _target_vector(cone, element, j):
-    """Concatenated quotient-basis coordinates of an m-tuple at weight j."""
+    """Sparse concatenated quotient-basis coordinates of an m-tuple at
+    weight j."""
     if len(element) != cone.codim:
         raise DegreeMismatchError(
             f"expected a {cone.codim}-tuple, got {len(element)} entries")
-    data = _jacobian_data(cone, j)
-    vec = []
-    any_part = False
-    all_zero = True
-    for (g, (f, d)), tgt in zip(zip(element, cone.defining), data.targets):
-        if not g.is_zero():
-            all_zero = False
-        part = g.homogeneous_part(d + j) if d + j >= 0 else Polynomial.zero(cone.ambient_dim)
-        if not part.is_zero():
-            any_part = True
-        if tgt is not None:
-            vec.extend(tgt.reduce(part))
-    if not all_zero and not any_part:
+    if any(g.nvars != cone.ambient_dim for g in element):
+        raise ValueError(f"expected components in {cone.ambient_dim} variables")
+    parts = [g.homogeneous_part(d + j) for g, d in zip(element, cone.degrees())]
+    if any(not g.is_zero() for g in element) and \
+            all(part.is_zero() for part in parts):
         raise DegreeMismatchError(
             f"no component has a degree part at weight {j}")
-    return vec, data
+    data = _jacobian_data(cone, j)
+    return data.concatenate([part.terms for part in parts],
+                            (0,) * cone.ambient_dim), data
 
 
 @dataclass
@@ -251,12 +247,9 @@ def reduce_in_t1(cone: ConeSingularity, element, j: int) -> ReducedClass:
     weight raises DegreeMismatchError.
     """
     vec, data = _target_vector(cone, element, j)
-    if not vec:
-        return ReducedClass(j, True, [])
-    echelon = data.img_echelon      # first, so that its pivots are used
-    res = linalg.reduce_against(vec, echelon, data.img_pivots)
-    coords = [res[i] for i in data.coker_coords]
-    return ReducedClass(j, all(c == 0 for c in coords), coords)
+    res = linalg.reduce_against(vec, data.pivot_rows)
+    coords = [res.get(i, Fraction(0)) for i in data.coker_coords]
+    return ReducedClass(j, not res, coords)
 
 
 def t1_graded(cone: ConeSingularity, j_min: int, j_max: int) -> T1Report:
@@ -300,6 +293,8 @@ class Perturbation:
     def validate_against(self, cone: ConeSingularity):
         if len(self.components) != cone.codim:
             raise ValueError("perturbation length differs from codimension")
+        if any(g.nvars != cone.ambient_dim for g in self.components):
+            raise ValueError(f"perturbation not in {cone.ambient_dim} variables")
         for e, (_, d) in zip(self.declared_degrees, cone.defining):
             if e >= d:
                 raise ValueError(f"declared degree {e} not below {d}")

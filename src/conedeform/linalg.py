@@ -1,24 +1,24 @@
 """Exact linear algebra over any field supporting +, -, *, / and truth
 testing (zero is falsy).
 
-Used with `fractions.Fraction` and `GaussianRational`.  Matrices are
-lists of row lists; nothing here mutates its arguments.
+Used with `fractions.Fraction` and `GaussianRational`; nothing here
+mutates its arguments.  `row_echelon`, `solve` and `nullspace` take dense
+rows (lists).  `_pivot_rows` takes sparse rows, dicts {column: nonzero
+value}, and returns sparse pivot rows; `reduce_against` reduces a sparse
+vector against them.
 
 One elimination serves every routine: `_pivot_rows`, a forward pass of
-fraction-free elimination (Bareiss, Math. Comp. 22 (1968)) on sparse
-rows.  The graded engine's matrices are mostly zero, so each row is a
-dict {column: value} and only nonzero entries are touched.  While the
-leading column of a row v holds a pivot row p, v becomes b*v - a*p with
-a, b the two leading entries; what is left, divided by its content, is
-the pivot row of its leading column.  Its one branch is a matrix whose
-nonzero entries are all `Fraction`s: each row is scaled to integers by
-the lcm of its denominators, a and b are divided by their gcd and the
-content is the gcd of a row, so the pass runs on small integers.  Any
-other field (Q(i)) runs the same step on its own entries; there the
-content is the leading entry, so b = 1 and entries do not grow.
-`pivot_columns` reads the pivot columns off that pass; `row_echelon`
-reduces its pivot rows upward.  Input and output stay dense lists of
-rows.
+fraction-free elimination (Bareiss, Math. Comp. 22 (1968)) that touches
+only nonzero entries.  While the leading column of a row v holds a pivot
+row p, v becomes b*v - a*p with a, b the two leading entries; what is
+left, divided by its content, is the pivot row of its leading column.
+Its one branch is a matrix whose nonzero entries are all `Fraction`s:
+each row is scaled to integers by the lcm of its denominators, a and b
+are divided by their gcd and the content is the gcd of a row, so the pass
+runs on small integers.  Any other field (Q(i)) runs the same step on its
+own entries; there the content is the leading entry, so b = 1 and entries
+do not grow.  `row_echelon` reduces the pivot rows upward and densifies
+them.
 """
 
 from __future__ import annotations
@@ -28,14 +28,16 @@ from math import gcd, lcm
 
 
 def _pivot_rows(rows):
-    """({pivot column: sparse pivot row}, whether the rows hold ints)."""
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    integer = all(type(x) is Fraction for v in sparse for x in v.values())
+    """({pivot column: sparse pivot row} in increasing pivot order,
+    whether the rows hold ints), for sparse `rows`."""
+    integer = all(type(x) is Fraction for v in rows for x in v.values())
     pivot_rows = {}
-    for v in sparse:
+    for v in rows:
         if integer and v:
             den = lcm(*[x.denominator for x in v.values()])
             v = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
+        else:
+            v = dict(v)
         while v:
             lead = min(v)
             p = pivot_rows.get(lead)
@@ -43,7 +45,7 @@ def _pivot_rows(rows):
                 pivot_rows[lead] = _primitive(v, integer)
                 break
             v = _step(v, p, lead, integer)
-    return pivot_rows, integer
+    return dict(sorted(pivot_rows.items())), integer
 
 
 def _step(v, p, col, integer):
@@ -55,6 +57,11 @@ def _step(v, p, col, integer):
         a, b = a // g, b // g
     if b != 1:
         v = {j: b * x for j, x in v.items()}
+    return _subtract(v, a, p, col)
+
+
+def _subtract(v, a, p, col):
+    """v - a*p off column col, updating v in place."""
     for j, y in p.items():
         if j == col:
             continue
@@ -92,10 +99,9 @@ def row_echelon(rows):
     leading entry (rows over any other field lead with 1 already), and
     the rows are densified in pivot order.
     """
-    pivot_rows, integer = _pivot_rows(rows)
-    if not pivot_rows:
-        return [], []
-    pivots = sorted(pivot_rows)
+    pivot_rows, integer = _pivot_rows(
+        [{j: x for j, x in enumerate(row) if x} for row in rows])
+    pivots = list(pivot_rows)
     for p in reversed(pivots):
         v = pivot_rows[p]
         hits = [q for q in v if q != p and q in pivot_rows]
@@ -114,28 +120,19 @@ def row_echelon(rows):
     return echelon, pivots
 
 
-def pivot_columns(rows):
-    """Sorted pivot columns of the row space of `rows`.
+def reduce_against(vec, pivot_rows):
+    """Residual of the sparse vector vec after elimination by the pivot
+    rows of `_pivot_rows`, in increasing pivot order.
 
-    These are the pivots of `row_echelon(rows)`, read off the forward
-    pass alone: every echelon form of a row space has the same pivot
-    columns, so no pivot row is reduced upward.
+    A pivot row leads at its pivot, so each step clears one pivot column
+    and touches only later ones.  Off the pivot columns the residual is
+    the one representative of vec modulo the row space that lives there,
+    whatever echelon basis spans it.
     """
-    return sorted(_pivot_rows(rows)[0])
-
-
-def reduce_against(vec, ech, pivots):
-    """Residual of vec after elimination by an echelon basis.
-
-    Only the nonzero entries of each echelon row are subtracted.
-    """
-    v = list(vec)
-    for row, p in zip(ech, pivots):
-        c = v[p]
-        if c:
-            for j, y in enumerate(row):
-                if y:
-                    v[j] = v[j] - c * y
+    v = dict(vec)
+    for p, row in pivot_rows.items():
+        if p in v:
+            v = _subtract(v, v.pop(p) / row[p], row, p)
     return v
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -16,7 +17,8 @@ from conedeform.graded import (ConeSingularity, DegreeMismatchError,
                                t1_graded, two_quadric_cone)
 from conedeform.parsing import parse_cone_deck
 from conedeform.poly import Polynomial, monomials_of_degree
-from test_linalg import _dense_row_echelon, _rank
+from test_linalg import (_dense_reduce_against, _dense_row_echelon, _rank,
+                         _sparse)
 
 
 def _vars(n):
@@ -433,16 +435,34 @@ def test_t1_ci_table_matches_dense_elimination(monkeypatch):
     assert sparse.window == dense.window
 
 
+def _dense_pivot_rows(rows):
+    """The dense Gauss-Jordan oracle's reduced echelon rows of the sparse
+    `rows`, in the form of `linalg._pivot_rows`."""
+    width = 1 + max((j for v in rows for j in v), default=-1)
+    ech, pivots = _dense_row_echelon(
+        [[v.get(j, Fraction(0)) for j in range(width)] for v in rows])
+    return dict(zip(pivots, _sparse(ech))), False
+
+
 def test_t1_ci_table_matches_dense_elimination_everywhere(monkeypatch):
-    """As above, with the dense oracle's pivots in place of the integer
-    pivot columns of the Jacobian image as well."""
-    fast = t1_graded(_diagonal_quadric_ci(7, 3), -3, 1)
+    """As above, with the dense oracle's reduced echelon rows in place of
+    the forward pivot rows of the Jacobian image as well; the classes that
+    reduce_in_t1 reads off them do not change either."""
+    cone = _diagonal_quadric_ci(7, 3)
+    rng = random.Random(26)
+    elements = {j: [_random_tuple(rng, cone, j) for _ in range(2)]
+                for j in range(-3, 2)}
+    fast = t1_graded(cone, -3, 1)
+    fast_classes = {j: [reduce_in_t1(cone, el, j) for el in els]
+                    for j, els in elements.items()}
     monkeypatch.setattr(graded.linalg, "row_echelon", _dense_row_echelon)
-    monkeypatch.setattr(graded.linalg, "pivot_columns",
-                        lambda rows: _dense_row_echelon(rows)[1])
-    dense = t1_graded(_diagonal_quadric_ci(7, 3), -3, 1)
+    monkeypatch.setattr(graded.linalg, "_pivot_rows", _dense_pivot_rows)
+    cone = _diagonal_quadric_ci(7, 3)
+    dense = t1_graded(cone, -3, 1)
     assert fast.weights == dense.weights
     assert fast.window == dense.window
+    assert fast_classes == {j: [reduce_in_t1(cone, el, j) for el in els]
+                            for j, els in elements.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -476,31 +496,51 @@ def _pivot_cases():
         yield _dense_cone(rng, N, degrees), j_min, j_max
 
 
+def _image_columns(cone, j):
+    """The Jacobian image at weight j as dense columns."""
+    return [list(col) for col in zip(*jacobian_matrix(cone, j))]
+
+
 def test_jacobian_pivots_match_reduced_echelon():
     for cone, j_min, j_max in _pivot_cases():
         for j in range(j_min, j_max + 1):
             data = _jacobian_data(cone, j)
-            assert data.img_pivots == \
-                linalg.row_echelon(data.columns)[1], (cone, j)
+            pivots = linalg.row_echelon(_image_columns(cone, j))[1]
+            assert list(data.pivot_rows) == pivots, (cone, j)
+            assert data.rank == len(pivots)
+            assert data.coker_coords == [i for i in range(data.total)
+                                         if i not in pivots]
 
 
 def test_t1_graded_eliminates_no_jacobian_image(monkeypatch):
-    seen = []
-    row_echelon = linalg.row_echelon
+    echelons, passes = [], []
+    row_echelon, pivot_rows = linalg.row_echelon, linalg._pivot_rows
 
-    def recording(rows):
-        seen.append(rows)
+    def recording_echelon(rows):
+        echelons.append(rows)
         return row_echelon(rows)
 
-    monkeypatch.setattr(graded.linalg, "row_echelon", recording)
+    def recording_pass(rows):
+        passes.append(rows)
+        return pivot_rows(rows)
+
+    monkeypatch.setattr(graded.linalg, "row_echelon", recording_echelon)
+    monkeypatch.setattr(graded.linalg, "_pivot_rows", recording_pass)
     cone = two_quadric_cone()
     t1_graded(cone, -3, 1)
-    # one elimination per graded piece of the quotient ring, none more
-    assert len(seen) == len(cone._degree_cache) > 0
+    # one reduced echelon form per graded piece of the quotient ring, and
+    # one forward pass over the image columns per weight
+    assert len(echelons) == len(cone._degree_cache) > 0
     for j in range(-3, 2):
         data = _jacobian_data(cone, j)
-        assert all(rows is not data.columns for rows in seen)
-        assert "img_echelon" not in vars(data)
+        assert sum(rows is data.columns for rows in passes) == 1, j
+    # reduce_in_t1 reduces against the pivot rows already there
+    echelons.clear()
+    passes.clear()
+    rng = random.Random(27)
+    for j in range(-3, 2):
+        reduce_in_t1(cone, _random_tuple(rng, cone, j), j)
+    assert echelons == [] and passes == []
 
 
 def _random_tuple(rng, cone, j):
@@ -520,7 +560,7 @@ def test_reduce_in_t1_independent_of_t1_graded_first():
                 element = _random_tuple(rng, first, j)
                 assert reduce_in_t1(first, element, j) == \
                     reduce_in_t1(later, element, j)
-        # pivots taken from the reduced echelon form give the same table
+        # the table does not depend on what was computed first
         assert t1_graded(later, *window).weights == table.weights
 
 
@@ -538,13 +578,17 @@ def _unimodular(rng, n):
     return A
 
 
+def _linear_forms(A):
+    """The rows of A as linear forms: the substitution z -> Az."""
+    z = _vars(len(A))
+    return [sum((Fraction(a) * v for a, v in zip(row, z)),
+                Polynomial.zero(len(A))) for row in A]
+
+
 def _change_coordinates(cone, A):
-    n = cone.ambient_dim
-    z = _vars(n)
-    image = [sum((Fraction(a) * v for a, v in zip(row, z)),
-                 Polynomial.zero(n)) for row in A]
-    return ConeSingularity(n, [(f.substitute(image), d)
-                               for f, d in cone.defining])
+    image = _linear_forms(A)
+    return ConeSingularity(cone.ambient_dim, [(f.substitute(image), d)
+                                              for f, d in cone.defining])
 
 
 def _invariants(cone, j_min, j_max):
@@ -585,7 +629,9 @@ def test_t1_and_hilbert_function_invariant_under_generator_mixing():
 
 
 def test_jacobian_echelon_matches_dense_oracle():
-    """The integer-built reduced echelon form of the image on real fill-in."""
+    """The forward pivot rows of the image on real fill-in: primitive
+    integer rows leading at their pivots, spanning the image, whose
+    reduced echelon form is the dense oracle's."""
     cases = [(parse_cone_deck(text).cone, -4, 2)
              for text in EXAMPLE_DECKS.values()]
     rng = random.Random(22)
@@ -594,7 +640,188 @@ def test_jacobian_echelon_matches_dense_oracle():
     for cone, j_min, j_max in cases:
         for j in range(j_min, j_max + 1):
             data = _jacobian_data(cone, j)
-            assert (data.img_echelon, data.img_pivots) == \
-                _dense_row_echelon(data.columns), (cone, j)
-            assert all(type(x) is Fraction
-                       for row in data.img_echelon for x in row)
+            for p, v in data.pivot_rows.items():
+                assert min(v) == p and all(type(x) is int for x in v.values())
+                assert math.gcd(*v.values()) == 1
+            rows = [[Fraction(v.get(i, 0)) for i in range(data.total)]
+                    for v in data.pivot_rows.values()]
+            ech, pivots = linalg.row_echelon(rows)
+            assert (ech, pivots) == \
+                _dense_row_echelon(_image_columns(cone, j)), (cone, j)
+            assert all(type(x) is Fraction for row in ech for x in row)
+
+
+# ---------------------------------------------------------------------------
+# the dense path the quotient map used to take, as an oracle: dense
+# `Fraction` vectors over the degree-j monomials, built from `Polynomial`
+# products and reduced against the dense reduced echelon form
+
+
+def _dense_vector(index, p):
+    """p over the monomials of `index` {monomial: position}."""
+    v = [Fraction(0)] * len(index)
+    for e, c in p.terms.items():
+        v[index[e]] = v[index[e]] + c
+    return v
+
+
+class _DenseOracle:
+    """Normal forms, Jacobian matrices and T1 classes of one cone along the
+    dense path."""
+
+    def __init__(self, cone):
+        self.cone = cone
+        self.n = cone.ambient_dim
+        self._pieces = {}
+        self._columns = {}
+        self._images = {}
+
+    def piece(self, k):
+        """(monomial index, echelon rows, pivots, free indices) in degree
+        k."""
+        if k not in self._pieces:
+            index = {m: i for i, m in
+                     enumerate(monomials_of_degree(self.n, k))}
+            rows = [_dense_vector(index, Polynomial.monomial(self.n, m) * f)
+                    for f, d in self.cone.defining
+                    for m in monomials_of_degree(self.n, k - d)]
+            ech, pivots = _dense_row_echelon(rows)
+            free = [i for i in range(len(index)) if i not in pivots]
+            self._pieces[k] = index, ech, pivots, free
+        return self._pieces[k]
+
+    def normal_form(self, p, k):
+        index, ech, pivots, free = self.piece(k)
+        res = _dense_reduce_against(_dense_vector(index, p), ech, pivots)
+        return [res[i] for i in free]
+
+    def target(self, element, j):
+        return [x for g, d in zip(element, self.cone.degrees()) if d + j >= 0
+                for x in self.normal_form(g.homogeneous_part(d + j), d + j)]
+
+    def columns(self, j):
+        if j not in self._columns:
+            self._columns[j] = self._build_columns(j)
+        return self._columns[j]
+
+    def _build_columns(self, j):
+        if j + 1 < 0:
+            return []
+        monomials = monomials_of_degree(self.n, j + 1)
+        partials = [[f.derivative(l) for f, _ in self.cone.defining]
+                    for l in range(self.n)]
+        return [self.target([Polynomial.monomial(self.n, monomials[i]) * df
+                             for df in partials[l]], j)
+                for l in range(self.n) for i in self.piece(j + 1)[3]]
+
+    def matrix(self, j):
+        total = sum(len(self.piece(d + j)[3]) for d in self.cone.degrees()
+                    if d + j >= 0)
+        columns = self.columns(j)
+        return [[col[i] for col in columns] for i in range(total)]
+
+    def coordinates(self, element, j):
+        # the image's reduced echelon form as the dense path took it, from
+        # row_echelon, which test_linalg checks against Gauss-Jordan
+        if j not in self._images:
+            self._images[j] = linalg.row_echelon(self.columns(j))
+        ech, pivots = self._images[j]
+        res = _dense_reduce_against(self.target(element, j), ech, pivots)
+        return [x for i, x in enumerate(res) if i not in pivots]
+
+
+def _random_form(rng, n, k):
+    """A homogeneous polynomial of degree k on a random monomial support."""
+    return Polynomial(n, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                          for e in monomials_of_degree(n, k)
+                          if rng.random() < 0.6})
+
+
+def test_normal_forms_match_dense_oracle():
+    rng = random.Random(28)
+    for cone, _, j_max in _pivot_cases():
+        oracle = _DenseOracle(cone)
+        zero = (0,) * cone.ambient_dim
+        for k in range(max(cone.degrees()) + j_max + 1):
+            data = _degree_data(cone, k)
+            assert data.free == oracle.piece(k)[3], (cone, k)
+            for _ in range(3):
+                p = _random_form(rng, cone.ambient_dim, k)
+                want = oracle.normal_form(p, k)
+                got = data.reduce(p.terms, zero)
+                assert all(x and 0 <= i < len(want) for i, x in got.items())
+                assert [got.get(i, Fraction(0)) for i in range(len(want))] \
+                    == want, (cone, k, p)
+                assert all(type(x) is Fraction for x in got.values())
+
+
+def test_jacobian_matrix_and_t1_classes_match_dense_oracle():
+    rng = random.Random(29)
+    for cone, j_min, j_max in _pivot_cases():
+        oracle = _DenseOracle(cone)
+        for j in range(j_min, j_max + 1):
+            got = jacobian_matrix(cone, j)
+            assert got == oracle.matrix(j), (cone, j)
+            assert all(type(x) is Fraction for row in got for x in row)
+            for _ in range(2):
+                element = _random_tuple(rng, cone, j)
+                if all(g.is_zero() for g in element):
+                    continue
+                got = reduce_in_t1(cone, element, j)
+                want = oracle.coordinates(element, j)
+                assert got.coordinates == want, (cone, j)
+                assert all(type(x) is Fraction for x in got.coordinates)
+                assert got.is_zero == all(x == 0 for x in want)
+
+
+# ---------------------------------------------------------------------------
+# inputs in the wrong number of variables
+
+
+def test_perturbation_in_the_wrong_variable_count_is_refused():
+    pert = Perturbation([Polynomial.variable(3, 0)], [1])
+    with pytest.raises(ValueError, match="variables"):
+        pert.validate_against(cubic_cone())
+    with pytest.raises(ValueError, match="variables"):
+        deformation_weight(cubic_cone(), pert)
+
+
+def test_reduce_in_t1_refuses_the_wrong_variable_count():
+    with pytest.raises(ValueError, match="variables"):
+        reduce_in_t1(cubic_cone(), (Polynomial.variable(3, 0),), -2)
+    with pytest.raises(ValueError, match="variables"):
+        reduce_in_t1(two_quadric_cone(),
+                     (Polynomial.variable(5, 0), Polynomial.variable(4, 0)),
+                     -1)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relation: one change of coordinates on cone and perturbation
+
+
+def test_weight_invariant_under_coordinate_change():
+    """z -> Az with A unimodular, applied to the F_i and the G_i alike,
+    moves no deformation weight."""
+    rng = random.Random(30)
+    z = _vars(5)
+    cases = [(cubic_cone(), _generic_cubic_pert(rng)),
+             (cubic_cone(), _generic_cubic_pert(rng, quadratic=False)),
+             (cubic_cone(), _generic_cubic_pert(rng, quadratic=False,
+                                                linear=False)),
+             (ordinary_double_point(3),
+              Perturbation([Polynomial.variable(4, 2)], [1])),
+             (two_quadric_cone(),
+              Perturbation([z[0] + 2 * z[1] - z[4] + 1,
+                            Fraction(1, 2) * z[2] + z[3] - 3], [1, 1]))]
+    weights = []
+    for cone, pert in cases:
+        want = deformation_weight(cone, pert).weight
+        weights.append(want)
+        A = _unimodular(rng, cone.ambient_dim)
+        image = _linear_forms(A)
+        moved = Perturbation([g.substitute(image) for g in pert.components],
+                             pert.declared_degrees)
+        moved_cone = _change_coordinates(cone, A)
+        assert moved_cone.defining != cone.defining
+        assert deformation_weight(moved_cone, moved).weight == want, (cone, A)
+    assert weights[:4] == [-1, -2, -3, FirstOrderVanishes()]

@@ -74,11 +74,20 @@ def test_nullspace_annihilates():
             [[cols[j][i] for j in range(n)] for i in range(m)])
 
 
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _pivot_columns(rows):
+    """Pivot columns of the forward pass on the dense `rows`."""
+    return list(linalg._pivot_rows(_sparse(rows))[0])
+
+
 def test_reduce_against():
     rows = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-    ech, piv = linalg.row_echelon(rows)
-    res = linalg.reduce_against([Fraction(3), Fraction(7)], ech, piv)
-    assert all(x == 0 for x in res)
+    pivot_rows = linalg._pivot_rows(_sparse(rows))[0]
+    res = linalg.reduce_against({0: Fraction(3), 1: Fraction(7)}, pivot_rows)
+    assert res == {}
 
 
 def test_gaussian_field_rank():
@@ -192,11 +201,11 @@ def test_row_echelon_gaussian_rational_matches_dense_oracle():
 
 
 # ---------------------------------------------------------------------------
-# integer pivot columns against the reduced echelon form's pivots
+# the forward pass's pivot columns against the reduced echelon form's
 
 
 def _assert_same_pivots(rows):
-    assert linalg.pivot_columns(rows) == linalg.row_echelon(rows)[1]
+    assert _pivot_columns(rows) == linalg.row_echelon(rows)[1]
 
 
 def test_pivot_columns_edge_cases():
@@ -216,8 +225,8 @@ def test_pivot_columns_edge_cases():
     ]
     for rows in cases:
         _assert_same_pivots(rows)
-    assert linalg.pivot_columns([]) == []
-    assert linalg.pivot_columns([[z, z], [z, one]]) == [1]
+    assert _pivot_columns([]) == []
+    assert _pivot_columns([[z, z], [z, one]]) == [1]
 
 
 def _big_fraction(rng):
@@ -254,12 +263,12 @@ def test_pivot_columns_gaussian_rational_falls_back():
     M = [[zero, i, -one, zero],
          [one, i, zero, i + one],
          [zero, one, i, zero]]          # -i times the first row
-    assert linalg.pivot_columns(M) == linalg.row_echelon(M)[1] == [0, 1]
+    assert _pivot_columns(M) == linalg.row_echelon(M)[1] == [0, 1]
     # a Q(i) row after Fraction rows switches the whole matrix over
     mixed = [[Fraction(0), Fraction(1), Fraction(0)],
              [Fraction(0), Fraction(2), Fraction(0)],
              [one, zero, i]]
-    assert linalg.pivot_columns(mixed) == linalg.row_echelon(mixed)[1] == [0, 1]
+    assert _pivot_columns(mixed) == linalg.row_echelon(mixed)[1] == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +346,7 @@ def test_pivot_columns_match_dense_oracle():
     cases = [*_EDGE_CASES, *_big_cases(19, 80), *_gaussian_cases(),
              *_mixed_cases()]
     for rows in cases:
-        assert linalg.pivot_columns(rows) == _dense_row_echelon(rows)[1], rows
+        assert _pivot_columns(rows) == _dense_row_echelon(rows)[1], rows
 
 
 def test_row_echelon_big_entries_match_dense_oracle():
@@ -347,15 +356,17 @@ def test_row_echelon_big_entries_match_dense_oracle():
 
 def test_pivot_rows_stay_small():
     """Pivot rows are primitive integer rows for `Fraction` input and lead
-    with 1 over Q(i), so their entries do not grow from step to step."""
+    with 1 over Q(i), so their entries do not grow from step to step.  They
+    come in increasing pivot order."""
     for rows in _big_cases(24, 20):
-        pivot_rows, integer = linalg._pivot_rows(rows)
-        assert integer
+        pivot_rows, integer = linalg._pivot_rows(_sparse(rows))
+        assert integer and list(pivot_rows) == sorted(pivot_rows)
         for p, v in pivot_rows.items():
             assert min(v) == p and all(type(x) is int for x in v.values())
             assert math.gcd(*v.values()) == 1
     for rows in _gaussian_cases():
-        pivot_rows = linalg._pivot_rows(rows)[0]
+        pivot_rows = linalg._pivot_rows(_sparse(rows))[0]
+        assert list(pivot_rows) == sorted(pivot_rows)
         assert all(min(v) == p and v[p] == 1 for p, v in pivot_rows.items())
 
 
@@ -363,7 +374,64 @@ def test_elimination_leaves_its_input_alone():
     cases = [*_EDGE_CASES, *_big_cases(21, 20), *_gaussian_cases(),
              *_mixed_cases()]
     for rows in cases:
-        for eliminate in (linalg.row_echelon, linalg.pivot_columns):
-            outer, inner = list(rows), [list(row) for row in rows]
-            eliminate(rows)
-            assert rows == inner and all(a is b for a, b in zip(rows, outer))
+        for eliminate, given in ((linalg.row_echelon, rows),
+                                 (linalg._pivot_rows, _sparse(rows))):
+            outer = list(given)
+            inner = [type(row)(row) for row in given]
+            eliminate(given)
+            assert given == inner and all(a is b for a, b in zip(given, outer))
+
+
+# ---------------------------------------------------------------------------
+# sparse reduction against the forward pivot rows, against the dense
+# reduction by the reduced echelon form
+
+
+def _dense_reduce_against(vec, ech, pivots):
+    """Residual of the dense vec after elimination by the dense reduced
+    echelon rows `ech`: the oracle for reduce_against."""
+    v = list(vec)
+    for row, p in zip(ech, pivots):
+        c = v[p]
+        if c:
+            for j, y in enumerate(row):
+                if y:
+                    v[j] = v[j] - c * y
+    return v
+
+
+def _vectors(rng, rows, width):
+    """A random vector, a combination of the rows and their sum, with
+    entries of the rows' own kinds."""
+    entries = [x for row in rows for x in row] or [Fraction(1)]
+    zero = entries[0] - entries[0]
+    noise = [rng.choice(entries) if rng.random() < 0.5 else zero
+             for _ in range(width)]
+    combo = [zero] * width
+    for row in rows:
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        combo = [x + c * y for x, y in zip(combo, row)]
+    return [noise, combo, [x + y for x, y in zip(noise, combo)]]
+
+
+def test_reduce_against_matches_dense_reduction():
+    """Off the pivot columns the residual is the one representative of vec
+    modulo the row space there, so the forward pivot rows and the reduced
+    echelon form leave the same residual, `Fraction`s staying `Fraction`s."""
+    rng = random.Random(25)
+    cases = [*_EDGE_CASES, *_big_cases(26, 60), *_gaussian_cases(),
+             *_mixed_cases()]
+    for rows in cases:
+        width = len(rows[0]) if rows else 3
+        rational = all(type(x) is Fraction for row in rows for x in row)
+        pivot_rows = linalg._pivot_rows(_sparse(rows))[0]
+        ech, pivots = _dense_row_echelon(rows)
+        for vec in _vectors(rng, rows, width):
+            sparse = _sparse([vec])[0]
+            kept = dict(sparse)
+            got = linalg.reduce_against(sparse, pivot_rows)
+            assert sparse == kept
+            assert got == _sparse([_dense_reduce_against(vec, ech, pivots)])[0]
+            assert not any(p in got for p in pivots)
+            if rational:
+                assert all(type(x) is Fraction for x in got.values())
