@@ -31,7 +31,8 @@ print(f"constant model: {sol.iterations} iterations, "
 print()
 
 # A decaying coefficient a = c (conj(z)/|z|) |z|^0.8: the correction decays
-# like |z|^(1+nu) and the residual is checked on an independent finer grid.
+# like |z|^(1+nu).  The residual is the fixed-point defect on an independent
+# finer grid, read off the transform's mode coefficients there.
 model = PerturbationModel.power(0.05, 0.8)
 params = HolderParams(0.5, 0.6)
 sol = solve_beltrami(model, params, R=0.4, tol=1e-10)

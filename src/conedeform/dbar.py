@@ -24,14 +24,18 @@ holds the radius is split there by a Gauss sub-rule on the interpolated
 g_n, each part on the half of the modes it keeps.  Grid nodes synthesize
 the values, and d/dzeta from the same coefficients, by inverse FFT;
 arbitrary points synthesize by a phase sum per point.  Tf(0) needs only
-the ring integrals.
+the ring integrals.  The Beltrami residual reads the same coefficients at
+the radii of a finer grid and synthesizes there by a zero-padded inverse
+FFT.
 
-The checks differentiate transform values by the central differences of
-conedeform.fd, unextrapolated, at steps scaled by the radius or the mesh.
+Only the operator-identity checks differentiate transform values, by the
+central differences of conedeform.fd, unextrapolated, at steps scaled by
+the radius or the mesh.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +68,9 @@ class DiskGrid:
         if not (np.isfinite(R) and R > 0):
             raise ValueError(f"disk radius R must be finite and positive, "
                              f"got {R}")
+        rings = _whole(rings, "rings")
+        angular = _whole(angular, "angular")
+        radial = _whole(radial, "radial")
         if rings < 1 or radial < 1:
             raise ValueError(f"a grid needs at least one ring and one radial "
                              f"node, got rings={rings}, radial={radial}")
@@ -71,9 +78,9 @@ class DiskGrid:
             raise ValueError(f"angular count must be positive and even, "
                              f"got {angular}")
         self.R = float(R)
-        self.rings = int(rings)
-        self.angular = int(angular)
-        self.radial = int(radial)
+        self.rings = rings
+        self.angular = angular
+        self.radial = radial
         bounds = [(self.R * 2.0 ** (-k), self.R * 2.0 ** (-k + 1))
                   for k in range(1, self.rings + 1)]
         if not puncture:
@@ -123,6 +130,14 @@ class DiskField:
         if keep.sum() < 2:
             return None
         return _regress(np.log(s[keep]), np.log(sups[keep]))
+
+
+def _whole(value, name):
+    """A grid count as an int; anything but a whole number is refused."""
+    if not (isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer())):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _regress(x, y):
@@ -447,14 +462,6 @@ def weighted_sup(f: DiskField, weight_exp: float) -> float:
     return float((np.abs(f.values) / r ** weight_exp).max())
 
 
-def weighted_bound_ratio(f: DiskField, nu: float) -> float:
-    """Measured constant in ||rho^-nu Ttilde f|| <= C ||rho^(1-nu) f||."""
-    tf = modified_transform(f)
-    num = weighted_sup(tf, nu)
-    den = weighted_sup(f, nu - 1)
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # Beltrami fixed point
 
@@ -508,8 +515,6 @@ class BeltramiSolution:
 
 CONTRACTION_THRESHOLD = 0.25
 MAX_ITERATIONS = 40
-# Steps of the residual's central differences, relative to |zeta|.
-RESIDUAL_FD_SCALE = 5e-3
 
 
 def solve_beltrami(model: PerturbationModel, p: HolderParams, R, tol=1e-10,
@@ -527,9 +532,16 @@ def solve_beltrami(model: PerturbationModel, p: HolderParams, R, tol=1e-10,
     |c| rho_h^2 / |zeta|, rho_h the hole radius), so the iteration converges
     to the truncated problem.  Refuses to iterate when the probed ||J[0]||
     exceeds the contraction threshold 1/4.  Stops after MAX_ITERATIONS;
-    the residual is measured by beltrami_residual."""
+    the residual is measured by beltrami_residual, on a finer grid over
+    the declared rings.  `rings` and `extra_rings` must be whole numbers,
+    and `extra_rings` nonnegative."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    rings = _whole(rings, "rings")
+    extra_rings = _whole(extra_rings, "extra_rings")
+    if extra_rings < 0:
+        raise ValueError(f"extra_rings must be nonnegative, got "
+                         f"{extra_rings}")
     if model.eta > 0 and not p.nu < model.eta:
         raise ValueError("the weight nu must lie strictly below eta")
     grid = DiskGrid(R, rings + extra_rings, angular, radial, puncture=True)
@@ -590,28 +602,56 @@ def _beltrami_source(model, grid, zf, dzf):
 
 
 def beltrami_residual(model, g_final: DiskField, rings):
-    """sup |dbar z + a(z) conj(dz)| = sup |dbar zfrak - g| (g the Beltrami
-    source) on an independent, finer grid than g_final's, with
-    central-difference Wirtinger derivatives at steps
-    RESIDUAL_FD_SCALE * |zeta|."""
+    """sup |dbar z + a(z) conj(dz)| = sup |dbar zfrak - source| over the
+    nodes of an independent, finer grid than g_final's, where zfrak =
+    Ttilde g_final and source = -a(zeta + zfrak) (1 + conj(d zfrak/dzeta)).
+
+    dbar zfrak = g holds by construction of T, g the density that the
+    quadrature integrates (g_final's modes interpolated in the radius, 0 in
+    the truncation hole).  So the residual is the fixed-point defect
+    sup |g - source|, with d zfrak/dzeta (the Beurling side of T) read off
+    the same mode coefficients as zfrak."""
+    vgrid, zf, dzf, g = _verification_fields(g_final, rings)
+    source = _beltrami_source(model, vgrid, zf, dzf)
+    return float(np.abs(g - source.values).max())
+
+
+def _verification_fields(g_final: DiskField, rings):
+    """(vgrid, zfrak, d zfrak/dzeta, g) at the nodes of the verification
+    grid: radius 0.98 R, `rings` rings, twice the angles and two more
+    radial nodes.  The mode coefficients come once per vgrid radius, and
+    each field by a zero-padded inverse FFT onto the finer angles."""
+    _check_integrable(g_final)
     grid = g_final.grid
+    plan = _plan(grid)
     vgrid = DiskGrid(grid.R * 0.98, rings, 2 * grid.angular, grid.radial + 2,
                      puncture=True)
-    pts = vgrid.nodes().ravel()
-    center = {}
+    G = _modes(grid, g_final.values)
+    rho = vgrid.radii.ravel()
+    coeff, t0 = _radial_coefficients(grid, G, rho)
+    M2 = vgrid.angular
 
-    def zfrak(stencil):
-        # zfrak at the nodes comes from the same transform call
-        vals = transform_at(g_final, np.concatenate([pts, stencil]))
-        center["zfrak"] = vals[:pts.size]
-        return vals[pts.size:]
+    def synthesize(c, shift):
+        # sum_n c[u, n] e^(i (n - shift) theta) on the vgrid angles
+        padded = np.zeros((len(rho), M2), dtype=complex)
+        padded[:, (plan.n - shift) % M2] = c
+        return (M2 * np.fft.ifft(padded, axis=-1)).reshape(vgrid.shape())
 
-    dz, dzb = fd.wirtinger(zfrak, pts, RESIDUAL_FD_SCALE * np.abs(pts),
-                           richardson=False)
-    shape = vgrid.shape()
-    g = _beltrami_source(model, vgrid, center["zfrak"].reshape(shape),
-                         dz.reshape(shape))
-    return float(np.abs(dzb - g.values.ravel()).max())
+    g = synthesize(_density_modes(grid, plan, G, rho), 0)
+    e2 = np.exp(-2j * vgrid.thetas)
+    dzf = synthesize(coeff * (plan.n - 1) / rho[:, None], 0) * e2 + e2 * g
+    return vgrid, synthesize(coeff, 1) - t0, dzf, g
+
+
+def _density_modes(grid, plan, G, rho):
+    """g_n at radii rho, interpolated from the nodes of the ring holding
+    each radius; 0 in the truncation hole."""
+    out = np.zeros((len(rho), grid.angular), dtype=complex)
+    ring = np.count_nonzero(plan.lo > rho[:, None], axis=1)
+    for k in np.unique(ring[ring < grid.nrings]):
+        idx = np.flatnonzero(ring == k)
+        out[idx] = _bary_interp(grid.radii[k], plan.bary[k], rho[idx]) @ G[k]
+    return out
 
 
 @dataclass

@@ -32,7 +32,7 @@ from conedeform.cone_metric import (ConeChart, TENSOR_TYPES, christoffels_fd,
 from conedeform.dbar import (DiskField, DiskGrid, HolderParams,
                              PerturbationModel, contraction_study,
                              dbar_identity_defect, modified_transform,
-                             solve_beltrami, weighted_bound_ratio)
+                             solve_beltrami)
 from conedeform.graded import (Perturbation, RateInput, cubic_cone,
                                deformation_weight, ordinary_double_point,
                                predicted_rate, reduce_in_t1, t1_graded,
@@ -41,6 +41,7 @@ from conedeform.cech import CoboundaryWindow, h1_class
 from conedeform.laurent import LaurentPoly
 from conedeform.poly import Polynomial
 from conedeform.rational import GaussianRational
+from test_dbar import _weighted_bound_ratio
 
 GR = GaussianRational
 
@@ -345,7 +346,7 @@ def test_criterion_11_weighted_bound_stability():
                 fn = lambda z, p=p, m=m, c=c: \
                     c * np.abs(z) ** p * np.exp(1j * m * np.angle(z))
                 F = DiskField.from_function(grid, fn, p)
-                ratios.append(weighted_bound_ratio(F, nu))
+                ratios.append(_weighted_bound_ratio(F, nu))
             out[nu] = max(ratios)
         return out
 

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conedeform import dbar
+from conedeform import dbar, fd
 from conedeform.dbar import (DiskField, DiskGrid,
                              HolderParams, PerturbationModel,
                              PreconditionFailure, QuadratureDivergence,
-                             cauchy_transform,
+                             beltrami_residual, cauchy_transform,
                              contraction_study, dbar_identity_defect,
                              modified_transform, operator_identities_2var,
-                             solve_beltrami, weighted_bound_ratio, transform_at,
+                             solve_beltrami, transform_at,
                              transform_with_derivative, weighted_norms,
                              weighted_sup)
 
@@ -257,6 +257,28 @@ def test_disk_grid_needs_a_radial_node():
         DiskGrid(0.5, 4, 16, 0)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((0.2, 4.7, 16, 6), "rings"), ((0.2, 4, 16.5, 6), "angular"),
+    ((0.2, 4, 16, 6.9), "radial"), ((0.2, 4.7, 16, 6.9), "rings"),
+    ((0.2, "4", 16, 6), "rings"), ((0.2, 4, 16, math.nan), "radial")])
+def test_disk_grid_refuses_fractional_counts(args, name):
+    """A fractional count was truncated: (0.2, 4.7, 16, 6.9) gave 4 rings
+    of 6 radial nodes."""
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+        DiskGrid(*args)
+
+
+def test_disk_grid_takes_numpy_and_whole_float_counts():
+    want = DiskGrid(0.2, 4, 16, 6)
+    for args in [(np.float64(0.2), np.int64(4), np.int32(16), np.uint8(6)),
+                 (0.2, 4.0, np.float64(16.0), 6)]:
+        grid = DiskGrid(*args)
+        assert (grid.rings, grid.angular, grid.radial) == (4, 16, 6)
+        assert all(type(n) is int
+                   for n in (grid.rings, grid.angular, grid.radial))
+        assert grid.radii.tobytes() == want.radii.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # weighted norms
 
@@ -331,6 +353,11 @@ def test_holder_sup_is_exact_on_large_annulus():
     assert brute > 2 * smooth
 
 
+def _weighted_bound_ratio(f: DiskField, nu: float) -> float:
+    """Measured constant in ||rho^-nu Ttilde f|| <= C ||rho^(1-nu) f||."""
+    return weighted_sup(modified_transform(f), nu) / weighted_sup(f, nu - 1)
+
+
 def test_weighted_bound_stability():
     """The measured constant in the weighted sup bound is stable across a
     grid refinement (within 15 percent) for each weight."""
@@ -350,7 +377,7 @@ def test_weighted_bound_stability():
                 fn = lambda z, p=p, m=m, c=c: \
                     c * np.abs(z) ** p * np.exp(1j * m * np.angle(z))
                 F = DiskField.from_function(grid, fn, p)
-                ratios.append(weighted_bound_ratio(F, nu))
+                ratios.append(_weighted_bound_ratio(F, nu))
             out[nu] = max(ratios)
         return out
 
@@ -536,3 +563,213 @@ def test_residual_tracks_tolerance():
                          rings=6, angular=32, radial=8, extra_rings=6)
     assert sol.increments[-1] < tol
     assert sol.residual < 10 * tol
+
+
+# ---------------------------------------------------------------------------
+# Beltrami residual: the spectral path against the finite-difference oracle
+
+# Steps of the FD oracle's central differences, relative to |zeta|.
+RESIDUAL_FD_SCALE = 5e-3
+# The FD oracle's own floor: its residual on the converged golden solves
+# (2.4e-8 power, 4.0e-8 constant, test_fd_residual_floor) is the h^2
+# truncation of its central differences, not a defect of the solution.
+FD_FLOOR = 5e-8
+
+
+def _fd_fields(g_final, rings, scale=RESIDUAL_FD_SCALE):
+    """(vgrid, zfrak, d zfrak/dzeta, dbar zfrak) at the nodes of the
+    verification grid, the derivatives by central differences of
+    transform_at at steps scale * |zeta|: the residual's former path,
+    with the same arithmetic."""
+    grid = g_final.grid
+    vgrid = DiskGrid(grid.R * 0.98, rings, 2 * grid.angular, grid.radial + 2,
+                     puncture=True)
+    pts = vgrid.nodes().ravel()
+    center = {}
+
+    def zfrak(stencil):
+        # zfrak at the nodes comes from the same transform call
+        vals = transform_at(g_final, np.concatenate([pts, stencil]))
+        center["zfrak"] = vals[:pts.size]
+        return vals[pts.size:]
+
+    dz, dzb = fd.wirtinger(zfrak, pts, scale * np.abs(pts), richardson=False)
+    shape = vgrid.shape()
+    return (vgrid, center["zfrak"].reshape(shape), dz.reshape(shape),
+            dzb.reshape(shape))
+
+
+def _fd_residual_field(model, g_final, rings):
+    """|dbar zfrak - source| at each verification node, by the FD oracle."""
+    vgrid, zf, dz, dzb = _fd_fields(g_final, rings)
+    return np.abs(dzb - dbar._beltrami_source(model, vgrid, zf, dz).values)
+
+
+def _fd_residual(model, g_final, rings):
+    """sup |dbar zfrak - source| by the FD oracle (beltrami_residual before
+    it read the mode coefficients)."""
+    return float(_fd_residual_field(model, g_final, rings).max())
+
+
+def _spectral_residual_field(model, g_final, rings):
+    vgrid, zf, dzf, g = dbar._verification_fields(g_final, rings)
+    return vgrid, g, np.abs(
+        g - dbar._beltrami_source(model, vgrid, zf, dzf).values)
+
+
+GOLDEN_MODELS = {
+    "power": (lambda: PerturbationModel.power(0.05, 0.8),
+              HolderParams(0.5, 0.6)),
+    "constant": (lambda: PerturbationModel.constant(0.1),
+                 HolderParams(0.5, 0.0)),
+}
+
+
+def _golden_solve(name, tol=1e-9, extra_rings=4):
+    make, params = GOLDEN_MODELS[name]
+    model = make()
+    return model, solve_beltrami(model, params, R=0.2, tol=tol, rings=4,
+                                 angular=16, radial=6,
+                                 extra_rings=extra_rings)
+
+
+@pytest.mark.parametrize("name", GOLDEN_MODELS)
+def test_fd_residual_floor(name):
+    model, sol = _golden_solve(name)
+    assert 1e-8 < _fd_residual(model, sol.g_final, 4) <= FD_FLOOR
+    assert sol.residual <= FD_FLOOR
+
+
+@pytest.mark.parametrize("name", GOLDEN_MODELS)
+def test_verification_zfrak_matches_transform_at(name):
+    _, sol = _golden_solve(name)
+    vgrid, zf, _, _ = dbar._verification_fields(sol.g_final, 4)
+    want = transform_at(sol.g_final, vgrid.nodes().ravel())
+    assert _close(zf.ravel(), want)
+
+
+def test_verification_fields_off_a_solve():
+    """A smooth field on punctured and full-disk grids: zfrak against
+    transform_at, and the synthesized g against the field itself."""
+    fn = lambda z: np.conj(z) * np.exp(0.5 * z.real) + 0.3j * z ** 3
+    for puncture in (True, False):
+        grid = _grid(rings=6, angular=32, radial=8, puncture=puncture)
+        F = DiskField.from_function(grid, fn)
+        vgrid, zf, _, g = dbar._verification_fields(F, 5)
+        nodes = vgrid.nodes()
+        assert _close(zf.ravel(), transform_at(F, nodes.ravel()))
+        assert np.abs(g - fn(nodes)).max() < 1e-7
+
+
+@pytest.mark.parametrize("name", GOLDEN_MODELS)
+def test_verification_derivatives_match_fd(name):
+    """d zfrak/dzeta (the Beurling side) and g (dbar zfrak = g) against
+    central differences of transform_at, within the FD floor at the
+    oracle's step and at half of it."""
+    _, sol = _golden_solve(name)
+    _, _, dzf, g = dbar._verification_fields(sol.g_final, 4)
+    for scale in (RESIDUAL_FD_SCALE, RESIDUAL_FD_SCALE / 2):
+        _, _, dz, dzb = _fd_fields(sol.g_final, 4, scale)
+        assert np.abs(dz - dzf).max() <= FD_FLOOR
+        assert np.abs(dzb - g).max() <= FD_FLOOR
+
+
+@pytest.mark.parametrize("name", GOLDEN_MODELS)
+@pytest.mark.parametrize("cap", [1, 2])
+def test_residual_of_capped_solve_matches_fd(monkeypatch, name, cap):
+    monkeypatch.setattr(dbar, "MAX_ITERATIONS", cap)
+    model, sol = _golden_solve(name, tol=1e-300)
+    assert sol.iterations == cap
+    fd_res = _fd_residual(model, sol.g_final, 4)
+    assert abs(sol.residual - fd_res) <= FD_FLOOR
+
+
+@pytest.mark.parametrize("name", GOLDEN_MODELS)
+def test_residual_of_perturbed_model_matches_fd(name):
+    """The converged source checked against a model 0.2% off: a residual of
+    0.2% of |a|, far above the floor."""
+    model, sol = _golden_solve(name)
+    off = PerturbationModel(lambda z: 1.002 * model.a(z), model.eta,
+                            1.002 * model.smallness)
+    got = beltrami_residual(off, sol.g_final, 4)
+    assert got > 100 * FD_FLOOR
+    assert abs(got - _fd_residual(off, sol.g_final, 4)) <= FD_FLOOR
+
+
+def test_residual_of_zero_model_is_exactly_zero():
+    model = PerturbationModel.constant(0.0)
+    sol = solve_beltrami(model, HolderParams(0.5, 0.0), R=0.3, rings=4,
+                         angular=16, radial=6, extra_rings=4)
+    assert sol.residual == 0.0
+    assert beltrami_residual(model, sol.g_final, 4) == 0.0
+
+
+def test_residual_with_no_extra_rings():
+    """With extra_rings=0 the innermost verification ring reaches into the
+    truncation hole, where g = 0 and dbar zfrak = 0 exactly, so the
+    residual there is the whole source.  The FD oracle's stencil straddles
+    the hole edge at those nodes and averages the jump (8.6e-4 against the
+    exact 1.5e-3); everywhere else the two agree within the FD oracle's
+    floor on this converged solve."""
+    model, sol = _golden_solve("power", extra_rings=0)
+    vgrid, g, spectral = _spectral_residual_field(model, sol.g_final, 4)
+    fd_field = _fd_residual_field(model, sol.g_final, 4)
+    r = np.abs(vgrid.nodes())
+    hole = sol.grid.bounds[-1][0]
+    inside = r < hole
+    assert inside.any() and np.all(g[inside] == 0)
+    assert sol.residual == spectral.max() == spectral[inside].max()
+    clear = np.abs(r - hole) > RESIDUAL_FD_SCALE * r
+    assert not np.all(clear)
+    floor = fd_field[clear].max()
+    assert floor < 1e-7
+    assert np.abs(spectral - fd_field)[clear].max() <= floor
+
+
+def test_residual_reads_the_mode_coefficients_once(monkeypatch):
+    """No transform_at (no FD stencil); one _radial_coefficients call, on
+    the rings x (radial + 2) radii of the verification grid."""
+    model, sol = _golden_solve("power")
+    coefficient_radii = []
+    points = []
+    coefficients = dbar._radial_coefficients
+
+    def counting(grid, G, rho):
+        coefficient_radii.append(len(rho))
+        return coefficients(grid, G, rho)
+
+    monkeypatch.setattr(dbar, "_radial_coefficients", counting)
+    monkeypatch.setattr(dbar, "transform_at",
+                        lambda f, pts, **kw: points.append(pts))
+    residual = beltrami_residual(model, sol.g_final, 4)
+    assert points == []
+    assert coefficient_radii == [4 * (sol.grid.radial + 2)]
+    assert residual == sol.residual
+
+
+@pytest.mark.parametrize("extra, match", [
+    (2.5, "^extra_rings must be a whole number"),
+    (-1, "^extra_rings must be nonnegative"),
+    ("4", "^extra_rings must be a whole number")])
+def test_solve_refuses_bad_extra_rings(extra, match):
+    """2.5 ran with 2 extra rings; -1 failed with a grid mismatch."""
+    with pytest.raises(ValueError, match=match):
+        solve_beltrami(PerturbationModel.power(0.05, 0.8),
+                       HolderParams(0.5, 0.6), R=0.2, rings=4, angular=16,
+                       radial=6, extra_rings=extra)
+
+
+def test_solve_refuses_fractional_rings():
+    with pytest.raises(ValueError, match="^rings must be a whole number"):
+        solve_beltrami(PerturbationModel.power(0.05, 0.8),
+                       HolderParams(0.5, 0.6), R=0.2, rings=3.5, angular=16,
+                       radial=6, extra_rings=4)
+
+
+def test_solve_takes_numpy_counts():
+    model, want = _golden_solve("power")
+    got = solve_beltrami(model, HolderParams(0.5, 0.6), R=0.2, tol=1e-9,
+                         rings=np.int64(4), angular=np.int32(16),
+                         radial=np.int16(6), extra_rings=np.int64(4))
+    assert got.increments == want.increments
+    assert (got.norm, got.residual) == (want.norm, want.residual)

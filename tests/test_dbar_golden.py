@@ -3,27 +3,33 @@ before the dbar engine moved to one Beltrami source, one ring-integral
 pass per transform and grid tables built once per grid.
 
 Every value must match bit for bit: the refactor evaluates the same
-arithmetic in the same order."""
+arithmetic in the same order.  `fd_residual` is the finite-difference
+oracle's residual of the final source, the solve's residual before it was
+read off the mode coefficients; `residual` is the solve's own."""
 
 import pytest
 
 from conedeform import dbar
 from conedeform.dbar import (HolderParams, PerturbationModel,
                              contraction_study, solve_beltrami)
+from test_dbar import _fd_residual
 
 SOLVES = {
-    # name: (model, params, iterations, increments, norm, residual)
+    # name: (model, params, iterations, increments, norm, fd_residual,
+    #        residual)
     "power": (
         lambda: PerturbationModel.power(0.05, 0.8), HolderParams(0.5, 0.6), 6,
         ["0x1.e149e4a5b1e1ep-3", "0x1.b8290f682eb22p-8",
          "0x1.d66548caa9cfdp-16", "0x1.bc49a7ffb1871p-23",
          "0x1.821a4eddeaab0p-29", "0x1.4445396e27d29p-35"],
-        "0x1.e1f701b0a98e8p-3", "0x1.a3d0a34380000p-26"),
+        "0x1.e1f701b0a98e8p-3", "0x1.a3d0a34380000p-26",
+        "0x1.46564df600000p-28"),
     "constant": (
         lambda: PerturbationModel.constant(0.1), HolderParams(0.5, 0.0), 4,
         ["0x1.fb0ae1f25392ep-2", "0x1.8d64af8da4628p-13",
          "0x1.45cdd4418de3ap-24", "0x1.1d40c8ca8bc7ep-34"],
-        "0x1.fb1e9f8014c23p-2", "0x1.53a3bcba00000p-25"),
+        "0x1.fb1e9f8014c23p-2", "0x1.53a3bcba00000p-25",
+        "0x1.75d2f17600000p-25"),
 }
 
 
@@ -34,11 +40,13 @@ def _solve(model, params, tol=1e-9):
 
 @pytest.mark.parametrize("name", SOLVES)
 def test_solve_beltrami_golden(name):
-    model, params, iterations, increments, norm, residual = SOLVES[name]
+    model, params, iterations, increments, norm, fd_residual, residual = \
+        SOLVES[name]
     sol = _solve(model(), params)
     assert sol.iterations == iterations
     assert [x.hex() for x in sol.increments] == increments
     assert sol.norm.hex() == norm
+    assert _fd_residual(model(), sol.g_final, 4).hex() == fd_residual
     assert sol.residual.hex() == residual
 
 

@@ -82,9 +82,9 @@ LIBRARY_API = {
     "calabi_exponent": "Ricci-flat exponent mu/(dimD + 1) of the ansatz",
     "tian_yau_exponent": "exponent (alpha - 1)/n of the Tian-Yau metric",
     "normalize_chart": "brings a chart to the form the metric formulas use",
-    "cauchy_transform": "the unmodified transform T, with T(1) = conj(zeta)",
-    "weighted_bound_ratio": "measured constant of the weighted bound on "
-                            "Ttilde",
+    "cauchy_transform": "the transform T itself, whose T(1) = conj(zeta) "
+                        "fixes the sign convention that Ttilde = T - T(0) "
+                        "inherits",
     "with_lifting_family": "adjoins an order's lifting family once its "
                            "obstruction vanishes",
     "linear_transition": "the product-type germ, without obstructions",
