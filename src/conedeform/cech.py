@@ -27,20 +27,21 @@ from . import linalg
 from .laurent import LaurentPoly, YSeries, _inv_coeff, invert_chart_map
 from .poly import Polynomial
 from .rational import GaussianRational, gaussian_sqrt
+from .reports import Refusal
 
 PARAM_BUDGET = 8
 PARAM_NAMES = [f"a{i + 1}" for i in range(PARAM_BUDGET)]
 
 
-class NotNormalizedError(RuntimeError):
+class NotNormalizedError(Refusal, RuntimeError):
     pass
 
 
-class TruncationExhaustedError(RuntimeError):
+class TruncationExhaustedError(Refusal, RuntimeError):
     pass
 
 
-class ParameterBudgetExhaustedError(RuntimeError):
+class ParameterBudgetExhaustedError(Refusal, RuntimeError):
     """The lifting families need more than PARAM_BUDGET parameters."""
 
 

@@ -3,23 +3,21 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .cech import (NotNormalizedError, ParameterBudgetExhaustedError,
-                   TruncationExhaustedError, normalize, weight_from_order)
-from .cone_metric import (ConeChart, NotNormalizedChart, TENSOR_TYPES,
-                          christoffels_fd, empirical_scaling_slope, metric_at,
-                          scaling_exponent)
-from .dbar import (ContractionFailure, HolderParams, PerturbationModel,
-                   PreconditionFailure, QuadratureDivergence, solve_beltrami)
+from .cech import normalize, weight_from_order
 from .graded import (NORMALITY_NOTE, RateInput, deformation_weight,
                      predicted_rate, t1_graded)
 from .parsing import (ParseError, parse_cone_deck, parse_potential,
                       parse_transition_deck)
-from .reports import Report, Section, digest
+from .reports import Refusal, Report, Section, digest
+
+# The numeric engines (cone_metric, dbar) load numpy, so metric and dbar
+# import them when they run; t1, weight, rate and cech never do.
 
 ENV_DEFAULTS = {
     "CONEDEFORM_DBAR_TOL": ("dbar --tol default", "1e-10"),
@@ -293,6 +291,9 @@ def _strvec(entry):
 
 
 def cmd_metric(args):
+    from .cone_metric import (ConeChart, TENSOR_TYPES, christoffels_fd,
+                              empirical_scaling_slope, metric_at,
+                              scaling_exponent)
     pot = parse_potential(args.potential, args.dimD)
     delta = _fraction("--delta", args.delta)
     parts = args.xi.split(",")
@@ -341,6 +342,7 @@ def cmd_metric(args):
 
 
 def cmd_dbar(args):
+    from .dbar import HolderParams, solve_beltrami
     model = _parse_model(args.model)
     p = HolderParams(args.alpha, args.nu)
     if args.eta is not None and not abs(args.eta - model.eta) <= 1e-12:
@@ -386,6 +388,7 @@ def _write_dbar_report(path, args, sol):
 
 
 def _parse_model(spec):
+    from .dbar import PerturbationModel
     if spec.startswith("const:"):
         return PerturbationModel.constant(complex(spec[6:]))
     if spec.startswith("power:"):
@@ -409,6 +412,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, one per process, with the dbar defaults read from
+    the environment overrides on every call."""
+    parser, dbar = _parsers()
+    dbar.set_defaults(rings=_env("CONEDEFORM_DBAR_RINGS", int),
+                      angular=_env("CONEDEFORM_DBAR_ANGULAR", int),
+                      tol=_env("CONEDEFORM_DBAR_TOL", float))
+    return parser
+
+
+@functools.cache
+def _parsers():
+    """(parser, its dbar subparser), built once per process: building the
+    argparse tree takes about as long as a small exact job."""
     epilog_lines = ["environment overrides:"]
     for name, (what, default) in ENV_DEFAULTS.items():
         epilog_lines.append(f"  {name}: {what} (default {default})")
@@ -471,37 +487,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--R", type=float, required=True)
-    p.add_argument("--rings", type=int,
-                   default=_env("CONEDEFORM_DBAR_RINGS", int))
-    p.add_argument("--angular", type=int,
-                   default=_env("CONEDEFORM_DBAR_ANGULAR", int))
-    p.add_argument("--tol", type=float,
-                   default=_env("CONEDEFORM_DBAR_TOL", float))
+    p.add_argument("--rings", type=int)
+    p.add_argument("--angular", type=int)
+    p.add_argument("--tol", type=float)
     p.add_argument("--model", required=True)
     p.add_argument("--report", default=None)
     common(p)
     p.set_defaults(func=cmd_dbar)
 
-    return parser
-
-
-REFUSAL_ERRORS = (PreconditionFailure, ContractionFailure,
-                  NotNormalizedError, NotNormalizedChart,
-                  TruncationExhaustedError, ParameterBudgetExhaustedError,
-                  QuadratureDivergence)
+    return parser, p
 
 
 def main(argv=None) -> int:
     try:
-        # building the parser reads the environment overrides
+        # build_parser reads the environment overrides on every call, so
+        # a malformed one is an input error whatever the subcommand
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except REFUSAL_ERRORS as exc:
+    except Refusal as exc:      # before ValueError: some refusals are both
         sys.stderr.write(f"refused: {exc}\n")
         return 2
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 1
     except OverflowError as exc:

@@ -31,9 +31,10 @@ from . import fd
 from .fd import mixed_wirtinger as fd_mixed_wirtinger
 from .jets import Jet, conjugate_exponent, wirtinger_exponent
 from .poly import Polynomial
+from .reports import Refusal
 
 
-class NotNormalizedChart(ValueError):
+class NotNormalizedChart(Refusal, ValueError):
     pass
 
 

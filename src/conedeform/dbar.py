@@ -41,17 +41,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
+from .reports import Refusal
 
 
-class QuadratureDivergence(ValueError):
+class QuadratureDivergence(Refusal, ValueError):
     pass
 
 
-class PreconditionFailure(RuntimeError):
+class PreconditionFailure(Refusal, RuntimeError):
     pass
 
 
-class ContractionFailure(RuntimeError):
+class ContractionFailure(Refusal, RuntimeError):
     pass
 
 

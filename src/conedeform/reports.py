@@ -1,4 +1,5 @@
-"""Report assembly and deterministic rendering (human tables / key=value)."""
+"""Report assembly and deterministic rendering (human tables / key=value),
+and the base class of the engines' refusals."""
 
 from __future__ import annotations
 
@@ -7,6 +8,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
+
+
+class Refusal(Exception):
+    """An engine declines to compute: the input lies where its result
+    would not be reliable (a contraction threshold, a parameter budget, a
+    chart not in normal form).  The CLI exits 2 on it.  Each subclass
+    keeps ValueError or RuntimeError as its second base for library
+    callers."""
 
 
 def fmt(value) -> str:

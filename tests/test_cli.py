@@ -1,5 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import conedeform
+from conedeform import cech, cli, cone_metric, dbar
 from conedeform.cli import EXAMPLE_DECKS, main
 
 
@@ -169,8 +177,8 @@ def test_bad_fd_step_is_input_error(capsys, monkeypatch, step):
                                        ("CONEDEFORM_DBAR_TOL", "tiny")])
 def test_malformed_env_override_is_input_error(capsys, monkeypatch, name,
                                                raw):
-    # the dbar overrides are read while the parser is built, so every
-    # subcommand meets them
+    # main reads the dbar overrides on every call, so every subcommand
+    # meets them
     monkeypatch.setenv(name, raw)
     code = main(["t1", "--example", "odp3"])
     err = capsys.readouterr().err
@@ -325,3 +333,136 @@ def test_metric_digest_covers_fd_step(capsys, monkeypatch):
         monkeypatch.setenv("CONEDEFORM_FD_STEP", step)
         digests.add(_digest_line(capsys, argv))
     assert len(digests) == 2
+
+
+DBAR_ZERO = ["dbar", "--nu", "0.0", "--R", "0.3", "--rings", "4",
+             "--angular", "16", "--model", "const:0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["t1", "--input", "DIR"],
+    ["t1", "--example", "odp3", "--output", "DIR"],
+    [*DBAR_ZERO, "--report", "DIR"]], ids=["input", "output", "report"])
+def test_unreadable_path_is_input_error(capsys, tmp_path, argv):
+    """A directory given as a file is an input error naming it, not a
+    traceback."""
+    code = main([str(tmp_path) if x == "DIR" else x for x in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert str(tmp_path) in captured.err
+
+
+def test_exact_subcommands_load_no_numpy(tmp_path):
+    """t1, weight, rate and cech on built-in decks never load numpy or the
+    numeric engines."""
+    script = textwrap.dedent("""
+        import sys
+        from conedeform.cli import main
+        numeric = {"numpy", "conedeform.dbar", "conedeform.cone_metric"}
+        assert not numeric & set(sys.modules), "import"
+        for argv in (["t1", "--example", "odp3"],
+                     ["weight", "--example", "cubic-cone"],
+                     ["rate", "--example", "cubic-cone"],
+                     ["cech", "--example", "p1p1-diagonal"]):
+            assert main(argv + ["--output", "out.txt"]) == 0, argv
+            assert not numeric & set(sys.modules), argv
+    """)
+    src = pathlib.Path(conedeform.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli._parsers.cache_clear()
+    argv = ["rate", "--n", "3", "--alpha", "2", "--abs-weight", "1"]
+    assert main(argv) == 0
+    first = len(built)
+    assert main(argv) == 0 and main(["t1", "--example", "odp3"]) == 0
+    assert first > 0 and len(built) == first
+
+
+def test_dbar_overrides_are_read_on_every_call(capsys, monkeypatch):
+    """An override set, changed, removed or broken between two main calls
+    shows in the next call."""
+    argv = [x for x in DBAR_ZERO if x not in ("--angular", "16")]
+    seen = []
+    for value in ("16", "8", None):
+        if value is None:
+            monkeypatch.delenv("CONEDEFORM_DBAR_ANGULAR")
+        else:
+            monkeypatch.setenv("CONEDEFORM_DBAR_ANGULAR", value)
+        code, out = run(capsys, *argv, "--format", "kv")
+        assert code == 0
+        seen += [ln for ln in out.splitlines()
+                 if ln.startswith("beltrami_solve.angular=")]
+    assert seen == ["beltrami_solve.angular=16", "beltrami_solve.angular=8",
+                    "beltrami_solve.angular=64"]
+    monkeypatch.setenv("CONEDEFORM_DBAR_ANGULAR", "6.5")
+    assert main(argv) == 1
+    assert "CONEDEFORM_DBAR_ANGULAR" in capsys.readouterr().err
+
+
+def test_help_lists_every_override(capsys):
+    code = main(["--help"])
+    out = capsys.readouterr().out
+    assert code == 0
+    epilog = out[out.index("environment overrides:"):].splitlines()
+    assert epilog[1:] == [
+        "  CONEDEFORM_DBAR_TOL: dbar --tol default (default 1e-10)",
+        "  CONEDEFORM_DBAR_RINGS: dbar --rings default (default 8)",
+        "  CONEDEFORM_DBAR_ANGULAR: dbar --angular default (default 64)",
+        "  CONEDEFORM_FD_STEP: metric finite-difference step (default 1e-5)"]
+
+
+# the engine call each module's refusals come from, as the CLI reads it:
+# cech's through cli's import, the numeric engines' at call time
+ENGINE_CALLS = {
+    "cech": (cli, "normalize", ["cech", "--example", "p1p1-diagonal"]),
+    "cone_metric": (cone_metric, "metric_at",
+                    ["metric", "--delta", "1/2", "--potential", "1+|z|^2"]),
+    "dbar": (dbar, "solve_beltrami", DBAR_ZERO),
+}
+REFUSALS = [cech.NotNormalizedError, cech.TruncationExhaustedError,
+            cech.ParameterBudgetExhaustedError, cone_metric.NotNormalizedChart,
+            dbar.QuadratureDivergence, dbar.PreconditionFailure,
+            dbar.ContractionFailure]
+
+
+@pytest.mark.parametrize("error", REFUSALS, ids=lambda e: e.__name__)
+def test_every_refusal_exits_2(capsys, monkeypatch, error):
+    """Each refusal class, raised from the engine call its subcommand
+    makes, is a refusal (exit 2), not an input error."""
+    def refuse(*args, **kwargs):
+        raise error("planted refusal")
+
+    owner, attr, argv = ENGINE_CALLS[error.__module__.rpartition(".")[2]]
+    monkeypatch.setattr(owner, attr, refuse)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "refused: planted refusal\n"
+
+
+def test_refusals_keep_their_library_bases():
+    """Library callers may still catch a refusal by its old base."""
+    for error in (cone_metric.NotNormalizedChart, dbar.QuadratureDivergence):
+        assert issubclass(error, ValueError)
+    for error in (cech.NotNormalizedError, cech.TruncationExhaustedError,
+                  cech.ParameterBudgetExhaustedError,
+                  dbar.PreconditionFailure, dbar.ContractionFailure):
+        assert issubclass(error, RuntimeError)
