@@ -347,6 +347,8 @@ def cmd_dbar(args):
     p = HolderParams(args.alpha, args.nu)
     if args.eta is not None and not abs(args.eta - model.eta) <= 1e-12:
         raise ParseError("--eta disagrees with the model's decay exponent")
+    if args.report:
+        _check_writable(args.report)
     sol = solve_beltrami(model, p, args.R, tol=args.tol, rings=args.rings,
                          angular=args.angular)
     rep = Report("dbar", args.seed, _input_digest(
@@ -367,6 +369,15 @@ def cmd_dbar(args):
         sec.add("report file", args.report)
     _emit(rep, args)
     return 0
+
+
+def _check_writable(path):
+    """Raises, before any work, the OSError that writing `path` would; an
+    existing file is left as it is and a new one is not kept."""
+    existed = os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
 
 
 def _write_dbar_report(path, args, sol):

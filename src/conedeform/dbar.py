@@ -28,6 +28,11 @@ the ring integrals.  The Beltrami residual reads the same coefficients at
 the radii of a finer grid and synthesizes there by a zero-padded inverse
 FFT.
 
+The weighted Hoelder norms take exact maxima over all node pairs of each
+ring.  Ring k is ring 0 scaled by 2^-k, bitwise, so the pair distances
+are formed once per grid, from ring 0, and scaled; per ring and call only
+their alpha-th powers and the field differences are formed.
+
 Only the operator-identity checks differentiate transform values, by the
 central differences of conedeform.fd, unextrapolated, at steps scaled by
 the radius or the mesh.
@@ -188,6 +193,7 @@ class _Plan:
         D[:, diag, diag] = 0.0
         D[:, diag, diag] = -D.sum(axis=-1)
         self.dr = D
+        self.pairs = None    # ring 0's pair distances, built on first use
 
 
 def _bary_interp(r_nodes, bary_w, targets):
@@ -413,11 +419,19 @@ def weighted_norms(f: DiskField, p: HolderParams) -> NormReport:
     on each annulus A(s,2s) of the grid (the center piece is left out); the
     norm is sup_s s^(-nu) [w]_{1,alpha,s}.  Pairs for the Hoelder quotients
     stay within one annulus (comparable radii only).  A NaN anywhere makes
-    the norm NaN."""
+    the norm NaN.
+
+    The Hoelder sups are exact maxima over all node pairs of a ring.  Ring
+    k's nodes are ring 0's times 2^-k, bitwise (its bounds are R 2^-k, and
+    scaling by a power of two rounds the same), so are its pair distances;
+    this holds while R 2^-rings is a normal float.  The pair distances are
+    therefore taken once per grid, from ring 0, and scaled."""
     grid = f.grid
     V = f.values
     dz, dzb = _ring_derivatives(grid, V)
-    nodes = grid.nodes()
+    plan = _plan(grid)
+    if plan.pairs is None:
+        plan.pairs = _pair_distances(grid.nodes()[0].ravel())
     alpha, nu = p.alpha, p.nu
     per_ring = []
     parts = np.zeros(4)
@@ -428,7 +442,8 @@ def weighted_norms(f: DiskField, p: HolderParams) -> NormReport:
         sup = float(np.abs(w).max())
         supd = float(d1.max())
         hol, holz, holzb = _holder_sups(
-            nodes[k].ravel(), (w, dz[k].ravel(), dzb[k].ravel()), alpha)
+            plan.pairs, 2.0 ** -k,
+            np.stack((w, dz[k].ravel(), dzb[k].ravel())), alpha)
         hold = max(holz, holzb)
         terms = [sup, s * supd, s ** alpha * hol, s ** (1 + alpha) * hold]
         weight = s ** (-nu)
@@ -439,22 +454,33 @@ def weighted_norms(f: DiskField, p: HolderParams) -> NormReport:
     return NormReport(total, *parts, per_ring)
 
 
-def _holder_sups(pts, fields, alpha):
-    """Exact max over point pairs of |v_i - v_j| / |p_i - p_j|^alpha for each
-    field v, coincident points skipped.  |p_i - p_j|^alpha is computed once
-    per block of rows against the columns j >= the block start (the upper
-    triangle) and shared by the fields, so memory is O(len(pts))."""
-    rows = 64
-    sups = [0.0] * len(fields)
-    for i0 in range(0, len(pts), rows):
-        dp = np.abs(pts[i0:i0 + rows, None] - pts[None, i0:])
-        dpa = dp ** alpha
-        live = dp > 0
-        for j, v in enumerate(fields):
-            dv = np.abs(v[i0:i0 + rows, None] - v[None, i0:])
-            q = np.divide(dv, dpa, out=np.zeros_like(dv), where=live)
-            sups[j] = float(np.maximum(sups[j], q.max()))
-    return sups
+_PAIR_ROWS = 16   # rows per block of the pair-distance table
+
+
+def _pair_distances(pts):
+    """|p_i - p_j| over the upper triangle: blocks (i0, d, coincident) of
+    _PAIR_ROWS rows i >= i0 against the columns j >= i0, with the flat
+    positions in d of the coincident pairs."""
+    blocks = []
+    for i0 in range(0, len(pts), _PAIR_ROWS):
+        d = np.abs(pts[i0:i0 + _PAIR_ROWS, None] - pts[None, i0:])
+        blocks.append((i0, d, np.flatnonzero(d == 0)))
+    return blocks
+
+
+def _holder_sups(pairs, scale, fields, alpha):
+    """Exact max over point pairs of |v_i - v_j| / (scale d_ij)^alpha for
+    each row v of `fields`, d the table of _pair_distances; coincident
+    pairs give 0, whatever the values there."""
+    sups = np.zeros(len(fields))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i0, d, coincident in pairs:
+            q = np.abs(fields[:, i0:i0 + _PAIR_ROWS, None]
+                       - fields[:, None, i0:])
+            np.divide(q, (d * scale) ** alpha, out=q)
+            q.reshape(len(fields), -1)[:, coincident] = 0.0
+            sups = np.maximum(sups, q.max(axis=(1, 2)))
+    return [float(x) for x in sups]
 
 
 def weighted_sup(f: DiskField, weight_exp: float) -> float:

@@ -354,6 +354,40 @@ def test_unreadable_path_is_input_error(capsys, tmp_path, argv):
     assert str(tmp_path) in captured.err
 
 
+@pytest.mark.parametrize("path", ["DIR", "DIR/missing/report.txt"],
+                         ids=["directory", "missing directory"])
+def test_unwritable_report_fails_before_the_solve(capsys, monkeypatch,
+                                                   tmp_path, path):
+    """dbar --report to a path that cannot be written gives the input error
+    that writing it gives, and never starts the solve."""
+    monkeypatch.setattr(dbar, "solve_beltrami",
+                        lambda *a, **kw: pytest.fail("the solve ran"))
+    report = path.replace("DIR", str(tmp_path))
+    with pytest.raises(OSError) as writing:
+        open(report, "w", encoding="utf-8")
+    code = main([*DBAR_ZERO, "--report", report])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"input error: {writing.value}\n"
+
+
+@pytest.mark.parametrize("existing", [None, "an earlier report\n"])
+def test_refused_dbar_leaves_the_report_path_as_it_was(capsys, tmp_path,
+                                                       existing):
+    report = tmp_path / "report.txt"
+    if existing is not None:
+        report.write_text(existing)
+    code = main(["dbar", "--nu", "0.0", "--R", "0.4", "--rings", "4",
+                 "--angular", "16", "--model", "const:0.9",
+                 "--report", str(report)])
+    assert code == 2
+    if existing is None:
+        assert not report.exists()
+    else:
+        assert report.read_text() == existing
+
+
 def test_exact_subcommands_load_no_numpy(tmp_path):
     """t1, weight, rate and cech on built-in decks never load numpy or the
     numeric engines."""

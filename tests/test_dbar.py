@@ -353,6 +353,151 @@ def test_holder_sup_is_exact_on_large_annulus():
     assert brute > 2 * smooth
 
 
+def _brute_holder_sups(pts, fields, alpha):
+    """Exact max over point pairs of |v_i - v_j| / |p_i - p_j|^alpha for each
+    field v, coincident points skipped.  |p_i - p_j|^alpha is computed once
+    per block of rows against the columns j >= the block start (the upper
+    triangle) and shared by the fields, so memory is O(len(pts))."""
+    rows = 64
+    sups = [0.0] * len(fields)
+    for i0 in range(0, len(pts), rows):
+        dp = np.abs(pts[i0:i0 + rows, None] - pts[None, i0:])
+        dpa = dp ** alpha
+        live = dp > 0
+        for j, v in enumerate(fields):
+            dv = np.abs(v[i0:i0 + rows, None] - v[None, i0:])
+            q = np.divide(dv, dpa, out=np.zeros_like(dv), where=live)
+            sups[j] = float(np.maximum(sups[j], q.max()))
+    return sups
+
+
+def _spike(z):
+    out = np.zeros_like(z)
+    out.flat[z.size // 3 + 5] = 1.0
+    return out
+
+
+def _with_node(value):
+    def field(z):
+        out = z ** 2
+        out.flat[z.size // 2 + 7] = value
+        return out
+    return field
+
+
+def _with_two_infs(z):
+    out = z ** 2
+    out.flat[[3, z.size // 2 + 7]] = np.inf
+    return out
+
+
+def _random(z):
+    rng = np.random.default_rng(z.size)
+    return rng.normal(size=z.shape) + 1j * rng.normal(size=z.shape)
+
+
+HOLDER_FIELDS = {
+    "random": _random,
+    "zeta^2": lambda z: z ** 2,
+    "conj zeta |zeta|^0.8": lambda z: np.conj(z) * np.abs(z) ** 0.8,
+    "spike": _spike,
+    "nan": _with_node(np.nan),
+    "inf": _with_node(np.inf),
+    "-inf": _with_node(-np.inf),
+    "two infs": _with_two_infs,
+}
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 16, 6, True), (8, 16, 10, True), (3, 48, 7, True),
+    (2, 128, 6, True), (5, 32, 8, False)], ids=str)
+@pytest.mark.parametrize("name", HOLDER_FIELDS)
+def test_holder_sups_match_brute_force_oracle(shape, name):
+    """Each ring's holder and dholder from the ring-0 pair-distance table
+    equal the brute-force oracle's on that ring's own nodes, bit for bit,
+    NaN and inf included; a center piece stays out of the norm."""
+    rings, angular, radial, puncture = shape
+    for R in (0.2731, 1e-3, 7.5):
+        grid = DiskGrid(R, rings, angular, radial, puncture=puncture)
+        V = HOLDER_FIELDS[name](grid.nodes())
+        dz, dzb = dbar._ring_derivatives(grid, V)
+        nodes = grid.nodes()
+        for alpha in (0.2, 0.5, 0.9):
+            rep = weighted_norms(DiskField(grid, V), HolderParams(alpha, 0.3))
+            assert len(rep.per_ring) == rings
+            for k, ring in enumerate(rep.per_ring):
+                hol, holz, holzb = _brute_holder_sups(
+                    nodes[k].ravel(),
+                    (V[k].ravel(), dz[k].ravel(), dzb[k].ravel()), alpha)
+                assert ring["holder"].hex() == hol.hex()
+                assert ring["dholder"].hex() == max(holz, holzb).hex()
+
+
+@pytest.mark.parametrize("shape", [(8, 64, 10), (6, 48, 7), (4, 16, 6),
+                                   (3, 128, 9)], ids=str)
+def test_rings_are_ring_zero_scaled_bitwise(shape):
+    """The invariant the pair-distance table rests on: ring k's nodes, and
+    their pair distances, are ring 0's times 2^-k, bit for bit."""
+    rng = np.random.default_rng(sum(shape))
+    for R in np.exp(rng.uniform(np.log(1e-4), np.log(20.0), size=4)):
+        grid = DiskGrid(R, *shape)
+        nodes = grid.nodes().reshape(grid.nrings, -1)
+        dist0 = np.abs(nodes[0][:, None] - nodes[0][None, :])
+        table0 = dbar._pair_distances(nodes[0])
+        for k in range(grid.nrings):
+            assert np.array_equal(nodes[k], nodes[0] * 2.0 ** -k)
+            dist = np.abs(nodes[k][:, None] - nodes[k][None, :])
+            assert np.array_equal(dist, dist0 * 2.0 ** -k)
+            for (_, d, _), (_, d0, _) in zip(dbar._pair_distances(nodes[k]),
+                                             table0):
+                assert np.array_equal(d, d0 * 2.0 ** -k)
+
+
+def _count_pair_tables(monkeypatch):
+    built = []
+    make = dbar._pair_distances
+
+    def counting(pts):
+        built.append(len(pts))
+        return make(pts)
+
+    monkeypatch.setattr(dbar, "_pair_distances", counting)
+    return built
+
+
+def test_solve_builds_the_pair_table_once(monkeypatch):
+    """The increments and the final norm share the declared grid, so one
+    solve builds one ring-0 table, of one ring's nodes."""
+    built = _count_pair_tables(monkeypatch)
+    sol = solve_beltrami(PerturbationModel.power(0.05, 0.8),
+                         HolderParams(0.5, 0.6), R=0.2, tol=1e-9, rings=4,
+                         angular=16, radial=6, extra_rings=4)
+    assert sol.iterations > 1
+    assert built == [16 * 6]
+
+
+def test_contraction_study_builds_one_pair_table_per_radius(monkeypatch):
+    built = _count_pair_tables(monkeypatch)
+    contraction_study(PerturbationModel.power(0.05, 0.8),
+                      HolderParams(0.5, 0.6), [0.4, 0.2, 0.1], probes=2,
+                      rings=4, angular=16, radial=6)
+    assert built == [16 * 6] * 3
+
+
+def test_weighted_norms_reads_no_nodes_once_the_table_exists(monkeypatch):
+    """Past the first call, weighted_norms forms no node pair differences:
+    it never reads the nodes, and builds no second table."""
+    grid = _grid()
+    F = DiskField.from_function(grid, lambda z: np.conj(z) * z ** 2)
+    p = HolderParams(0.5, 0.7)
+    first = weighted_norms(F, p)
+    built = _count_pair_tables(monkeypatch)
+    monkeypatch.setattr(DiskGrid, "nodes",
+                        lambda self: pytest.fail("weighted_norms read nodes"))
+    assert weighted_norms(F, p) == first
+    assert built == []
+
+
 def _weighted_bound_ratio(f: DiskField, nu: float) -> float:
     """Measured constant in ||rho^-nu Ttilde f|| <= C ||rho^(1-nu) f||."""
     return weighted_sup(modified_transform(f), nu) / weighted_sup(f, nu - 1)

@@ -60,6 +60,40 @@ def test_contraction_study_golden():
     assert row.lipschitz.hex() == "0x1.8eb956167ca75p-7"
 
 
+# The README dbar example (8 rings x 64 angles, radial 10, extra_rings 8)
+# and a three-radius contraction study at 32 angles: bench-sized grids,
+# captured before the Hoelder sups moved to one ring-0 pair-distance table.
+README_SOLVE = (
+    7, ["0x1.179433a03126cp-2", "0x1.2b04a297427a4p-4",
+        "0x1.9d66472d793eap-14", "0x1.642e5cf64ac13p-20",
+        "0x1.1333b5652a62bp-25", "0x1.92a99dd131a0dp-31",
+        "0x1.405906d774631p-36"],
+    "0x1.1841c387aab8ap-2", "0x1.df17a00000000p-39")
+
+THREE_RADIUS_STUDY = [(0.4, "0x1.dbfe04f196f43p-3", "0x1.2daa001e93da4p-7"),
+                (0.2, "0x1.82a0381cebb73p-3", "0x1.605f75a9d3747p-6"),
+                (0.1, "0x1.3a09abd519ce7p-3", "0x1.1f80b40e63430p-8")]
+
+
+def test_readme_solve_golden():
+    sol = solve_beltrami(PerturbationModel.power(0.05, 0.8),
+                         HolderParams(0.5, 0.6), R=0.4, tol=1e-10, rings=8,
+                         angular=64)
+    iterations, increments, norm, residual = README_SOLVE
+    assert sol.iterations == iterations
+    assert [x.hex() for x in sol.increments] == increments
+    assert sol.norm.hex() == norm
+    assert sol.residual.hex() == residual
+
+
+def test_three_radius_contraction_study_golden():
+    study = contraction_study(PerturbationModel.power(0.05, 0.8),
+                              HolderParams(0.5, 0.5), [0.4, 0.2, 0.1],
+                              probes=2, angular=32, seed=3)
+    assert [(row.R, row.j0_norm.hex(), row.lipschitz.hex())
+            for row in study.rows] == THREE_RADIUS_STUDY
+
+
 @pytest.mark.parametrize("name", SOLVES)
 def test_each_iteration_transforms_once(monkeypatch, name):
     """J[0] serves both the threshold check and iteration 1, so a solve of
