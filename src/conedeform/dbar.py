@@ -423,9 +423,9 @@ def weighted_norms(f: DiskField, p: HolderParams) -> NormReport:
 
     The Hoelder sups are exact maxima over all node pairs of a ring.  Ring
     k's nodes are ring 0's times 2^-k, bitwise (its bounds are R 2^-k, and
-    scaling by a power of two rounds the same), so are its pair distances;
-    this holds while R 2^-rings is a normal float.  The pair distances are
-    therefore taken once per grid, from ring 0, and scaled."""
+    scaling by a power of two rounds the same), and so are its pair
+    distances; this holds while R 2^-rings is a normal float.  So the pair
+    distances are taken once per grid, from ring 0, and scaled."""
     grid = f.grid
     V = f.values
     dz, dzb = _ring_derivatives(grid, V)
