@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .poly import Polynomial, monomials_of_degree
@@ -57,6 +58,7 @@ class ConeSingularity:
         self.defining = tuple(defining)
         self._degree_cache = {}
         self._jac_cache = {}
+        self._partials = None
 
     @property
     def codim(self):
@@ -92,14 +94,17 @@ class T1Report:
 
 
 class _DegreeData:
-    """The degree-j piece of the quotient ring, as a table of normal forms.
+    """The degree-j piece of the quotient ring, as a table of normal forms
+    over one denominator.
 
     The products m*F_i, dense rows over the degree-j monomials filled from
     the terms of F_i shifted by m, go through one `linalg.row_echelon`.
-    The monomials off its pivots are `free`, the quotient basis.
-    `normal_forms` maps each monomial to its class, a sparse dict {free
-    coordinate: coefficient}: a free monomial is its own coordinate, and a
-    pivot monomial is minus the free entries of its echelon row.
+    The monomials off its pivots are `free`, the quotient basis.  `den`,
+    the lcm of the denominators of the echelon rows' free entries, is
+    positive, and `int_forms` maps each monomial to `den` times its class,
+    a sparse dict {free coordinate: int}: a free monomial is its own
+    coordinate, and a pivot monomial is minus the free entries of its
+    echelon row.
     """
 
     def __init__(self, cone, j):
@@ -115,20 +120,30 @@ class _DegreeData:
         echelon, pivots = linalg.row_echelon(rows)
         pivset = set(pivots)
         self.free = [i for i in range(len(self.monomials)) if i not in pivset]
-        self.normal_forms = {self.monomials[i]: {k: Fraction(1)}
-                             for k, i in enumerate(self.free)}
+        self.den = den = lcm(*[row[i].denominator for row in echelon
+                               for i in self.free])
+        self.int_forms = {self.monomials[i]: {k: den}
+                          for k, i in enumerate(self.free)}
         for row, p in zip(echelon, pivots):
-            self.normal_forms[self.monomials[p]] = {
-                k: -row[i] for k, i in enumerate(self.free) if row[i]}
+            self.int_forms[self.monomials[p]] = {
+                k: -row[i].numerator * (den // row[i].denominator)
+                for k, i in enumerate(self.free) if row[i]}
+
+    def scaled(self, terms, shift):
+        """`den` times the class of sum c * z^(e + shift) over integer
+        terms {e: c}, as a sparse dict over the free coordinates."""
+        out = {}
+        for e, c in terms.items():
+            for k, y in self.int_forms[_shifted(e, shift)].items():
+                out[k] = out.get(k, 0) + c * y
+        return {k: x for k, x in out.items() if x}
 
     def reduce(self, terms, shift):
         """Class of sum c * z^(e + shift) over terms {e: c}, as a sparse
-        dict over the free coordinates."""
-        out = {}
-        for e, c in terms.items():
-            for k, y in self.normal_forms[_shifted(e, shift)].items():
-                out[k] = out.get(k, 0) + c * y
-        return {k: x for k, x in out.items() if x}
+        dict of `Fraction`s over the free coordinates."""
+        terms, scale = linalg._to_integers(terms)
+        return {k: Fraction(x, scale * self.den)
+                for k, x in self.scaled(terms, shift).items()}
 
 
 def _shifted(e, m):
@@ -155,46 +170,68 @@ class _JacobianData:
     """The Jacobian map at weight j, by the forward pivot rows of its image.
 
     `columns` holds one image vector per source basis element
-    (variable-major), a sparse dict over the concatenated target
-    coordinates `labels`.  Column (l, m) is built from the terms of each
+    (variable-major), a sparse dict of ints over the concatenated target
+    coordinates `labels`: the column times a positive number, divided by
+    its content.  Column (l, m) is built from the integer terms of each
     dF_i/dz_l shifted by the source monomial m, read through the target's
-    normal forms.  One forward pass (`linalg._pivot_rows`) gives
-    `pivot_rows`: their columns give `rank` and `coker_coords`, and
-    `reduce_in_t1` reduces against them.
+    integer normal forms (`image`).  A positive scale of a column changes
+    no pivot row of `linalg._pivot_rows` (a negative one would), so one
+    forward pass over `columns` gives the image's `pivot_rows`: their
+    columns give `rank` and `coker_coords`, and `reduce_in_t1` reduces
+    against them.
     """
 
     def __init__(self, cone, j):
-        n = cone.ambient_dim
-        src = _degree_data(cone, j + 1) if j + 1 >= 0 else None
         self.targets = [_degree_data(cone, d + j) if d + j >= 0 else None
                         for _, d in cone.defining]
         # (generator index, monomial) of each concatenated target coordinate
         self.labels = [(i, t.monomials[m]) for i, t in enumerate(self.targets)
                        if t is not None for m in t.free]
         self.total = len(self.labels)
-        self.columns = []
-        if src is not None and self.total > 0:
-            partials = [[f.derivative(l).terms for f, _ in cone.defining]
-                        for l in range(n)]
-            self.columns = [self.concatenate(partials[l], src.monomials[mi])
-                            for l in range(n) for mi in src.free]
+        self.columns = [linalg._primitive(v, True)
+                        for v, _ in self.image(cone, j)]
         self.pivot_rows = linalg._pivot_rows(self.columns)[0]
         self.rank = len(self.pivot_rows)
         self.coker_coords = [i for i in range(self.total)
                              if i not in self.pivot_rows]
 
+    def image(self, cone, j):
+        """(v, s) per column of the map in order, as in `concatenate`."""
+        if j + 1 < 0 or self.total == 0:
+            return
+        src = _degree_data(cone, j + 1)
+        partials = _partials(cone)
+        for l in range(cone.ambient_dim):
+            for mi in src.free:
+                yield self.concatenate(partials[l], src.monomials[mi])
+
     def concatenate(self, parts, shift):
-        """Sparse concatenated target coordinates of the m-tuple of term
-        dicts `parts`, each shifted as in `_DegreeData.reduce`."""
+        """(v, s): the sparse concatenated target coordinates of an
+        m-tuple times s > 0, in ints.  `parts` gives each component as
+        `linalg._to_integers` does, (its terms times t, t), each shifted as
+        in `_DegreeData.scaled`; s is the lcm of the blocks' t * den."""
+        blocks = [(t, t.scaled(terms, shift), scale * t.den)
+                  for t, (terms, scale) in zip(self.targets, parts)
+                  if t is not None]
+        s = lcm(*[scale for _, _, scale in blocks])
         vec = {}
         offset = 0
-        for t, terms in zip(self.targets, parts):
-            if t is None:
-                continue
-            for k, x in t.reduce(terms, shift).items():
-                vec[offset + k] = x
+        for t, block, scale in blocks:
+            f = s // scale
+            for k, x in block.items():
+                vec[offset + k] = f * x
             offset += len(t.free)
-        return vec
+        return vec, s
+
+
+def _partials(cone):
+    """Per variable z_l, the (integer terms, positive scale) of each
+    dF_i/dz_l; formed once per cone."""
+    if cone._partials is None:
+        cone._partials = [[linalg._to_integers(f.derivative(l).terms)
+                           for f, _ in cone.defining]
+                          for l in range(cone.ambient_dim)]
+    return cone._partials
 
 
 def _jacobian_data(cone, j) -> _JacobianData:
@@ -210,7 +247,9 @@ def jacobian_matrix(cone: ConeSingularity, j: int):
     of the degree-(j+1) basis, variable-major.
     """
     data = _jacobian_data(cone, j)
-    return [[col.get(i, Fraction(0)) for col in data.columns]
+    columns = [{k: Fraction(x, s) for k, x in v.items()}
+               for v, s in data.image(cone, j)]
+    return [[col.get(i, Fraction(0)) for col in columns]
             for i in range(data.total)]
 
 
@@ -228,8 +267,10 @@ def _target_vector(cone, element, j):
         raise DegreeMismatchError(
             f"no component has a degree part at weight {j}")
     data = _jacobian_data(cone, j)
-    return data.concatenate([part.terms for part in parts],
-                            (0,) * cone.ambient_dim), data
+    vec, s = data.concatenate(
+        [linalg._to_integers(part.terms) for part in parts],
+        (0,) * cone.ambient_dim)
+    return {k: Fraction(x, s) for k, x in vec.items()}, data
 
 
 @dataclass

@@ -12,13 +12,20 @@ fraction-free elimination (Bareiss, Math. Comp. 22 (1968)) that touches
 only nonzero entries.  While the leading column of a row v holds a pivot
 row p, v becomes b*v - a*p with a, b the two leading entries; what is
 left, divided by its content, is the pivot row of its leading column.
-Its one branch is a matrix whose nonzero entries are all `Fraction`s:
-each row is scaled to integers by the lcm of its denominators, a and b
+Its one branch is a matrix whose nonzero entries are all `int`s or
+`Fraction`s: int rows enter as they are (where a `Fraction` is present,
+each row is scaled to integers by the lcm of its denominators), a and b
 are divided by their gcd and the content is the gcd of a row, so the pass
 runs on small integers.  Any other field (Q(i)) runs the same step on its
 own entries; there the content is the leading entry, so b = 1 and entries
 do not grow.  `row_echelon` reduces the pivot rows upward and densifies
 them.
+
+On integer rows a positive scale of an input row changes no pivot row:
+each step gives a positive multiple of b*v - a*p (the gcd is positive),
+and the content that a pivot row is divided by is positive.  So callers
+may scale rows by any positive number, never by a negative one, which
+would flip the sign of a pivot row.
 """
 
 from __future__ import annotations
@@ -29,13 +36,20 @@ from math import gcd, lcm
 
 def _pivot_rows(rows):
     """({pivot column: sparse pivot row} in increasing pivot order,
-    whether the rows hold ints), for sparse `rows`."""
-    integer = all(type(x) is Fraction for v in rows for x in v.values())
+    whether the rows hold ints), for sparse `rows`.
+
+    Rows of ints and `Fraction`s take the integer branch: int rows are
+    eliminated as they are, and if any entry is a `Fraction`, each row is
+    first multiplied by the lcm of its denominators.  Pivot rows are
+    primitive integer rows, the same for any positive scale of each input
+    row.
+    """
+    kinds = {type(x) for v in rows for x in v.values()}
+    integer = kinds <= {int, Fraction}
     pivot_rows = {}
     for v in rows:
-        if integer and v:
-            den = lcm(*[x.denominator for x in v.values()])
-            v = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
+        if integer and Fraction in kinds:
+            v = _to_integers(v)[0]
         else:
             v = dict(v)
         while v:
@@ -46,6 +60,13 @@ def _pivot_rows(rows):
                 break
             v = _step(v, p, lead, integer)
     return dict(sorted(pivot_rows.items())), integer
+
+
+def _to_integers(v):
+    """(v times s, s) for a sparse dict v of ints and `Fraction`s, s > 0
+    the lcm of their denominators."""
+    s = lcm(*[x.denominator for x in v.values()])
+    return {j: x.numerator * (s // x.denominator) for j, x in v.items()}, s
 
 
 def _step(v, p, col, integer):

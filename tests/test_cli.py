@@ -388,6 +388,47 @@ def test_refused_dbar_leaves_the_report_path_as_it_was(capsys, tmp_path,
         assert report.read_text() == existing
 
 
+@pytest.mark.parametrize("argv, engine", [
+    (["t1", "--example", "odp3"], (cli, "t1_graded")),
+    (DBAR_ZERO, (dbar, "solve_beltrami"))], ids=["t1", "dbar"])
+def test_unwritable_output_fails_before_the_work(capsys, monkeypatch,
+                                                 tmp_path, argv, engine):
+    """--output naming a directory is an input error before the engine
+    runs."""
+    monkeypatch.setattr(*engine, lambda *a, **kw: pytest.fail("it ran"))
+    code = main([*argv, "--output", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert str(tmp_path) in captured.err
+
+
+@pytest.mark.parametrize("existing", [None, "an earlier output\n"])
+def test_refused_run_leaves_the_output_path_as_it_was(capsys, tmp_path,
+                                                      existing):
+    output = tmp_path / "out.kv"
+    if existing is not None:
+        output.write_text(existing)
+    code = main(["dbar", "--nu", "0.0", "--R", "0.4", "--rings", "4",
+                 "--angular", "16", "--model", "const:0.9",
+                 "--output", str(output)])
+    assert code == 2
+    if existing is None:
+        assert not output.exists()
+    else:
+        assert output.read_text() == existing
+
+
+def test_path_check_keeps_no_file_it_made(tmp_path, monkeypatch):
+    """Where os.access refuses a directory that can be written after all,
+    the file the check made is removed again."""
+    monkeypatch.setattr(cli.os, "access", lambda *a: False)
+    path = tmp_path / "new.kv"
+    cli._check_writable(str(path))
+    assert not path.exists()
+
+
 def test_exact_subcommands_load_no_numpy(tmp_path):
     """t1, weight, rate and cech on built-in decks never load numpy or the
     numeric engines."""

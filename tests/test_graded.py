@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -440,7 +441,7 @@ def _dense_pivot_rows(rows):
     `rows`, in the form of `linalg._pivot_rows`."""
     width = 1 + max((j for v in rows for j in v), default=-1)
     ech, pivots = _dense_row_echelon(
-        [[v.get(j, Fraction(0)) for j in range(width)] for v in rows])
+        [[Fraction(v.get(j, 0)) for j in range(width)] for v in rows])
     return dict(zip(pivots, _sparse(ech))), False
 
 
@@ -541,6 +542,51 @@ def test_t1_graded_eliminates_no_jacobian_image(monkeypatch):
     for j in range(-3, 2):
         reduce_in_t1(cone, _random_tuple(rng, cone, j), j)
     assert echelons == [] and passes == []
+
+
+def test_jacobian_image_reaches_the_pass_in_ints(monkeypatch):
+    """The image columns are primitive int rows, and the forward pass over
+    each image sees no `Fraction` (the ring pieces' `row_echelon` rows,
+    which reach `_pivot_rows` too, are `Fraction` rows)."""
+    passes = []
+    pivot_rows = linalg._pivot_rows
+
+    def recording_pass(rows):
+        passes.append(rows)
+        return pivot_rows(rows)
+
+    monkeypatch.setattr(graded.linalg, "_pivot_rows", recording_pass)
+    for cone, j_min, j_max in _pivot_cases():
+        passes.clear()
+        t1_graded(cone, j_min, j_max)
+        images = [_jacobian_data(cone, j).columns
+                  for j in range(j_min, j_max + 1)]
+        assert len(passes) == len(images) + len(cone._degree_cache)
+        for columns in images:
+            assert sum(rows is columns for rows in passes) == 1
+            assert all(type(x) is int for v in columns for x in v.values())
+            assert all(math.gcd(*v.values()) == 1 for v in columns if v)
+
+
+# sha256 over every T1 table (dimension and cokernel basis) and every
+# pivot-row dict of the Jacobian images of `_pivot_cases()`, taken when the
+# image columns were still built in `Fraction`s
+PIVOT_GOLDEN = \
+    "f38ffe9dce625280511365700d5cb2f0eb2b47ed9c4cd7f5a0d02545fa9cd9e7"
+
+
+def test_pivot_rows_and_t1_tables_match_golden():
+    digest = hashlib.sha256()
+    for cone, j_min, j_max in _pivot_cases():
+        table = t1_graded(cone, j_min, j_max)
+        for j in range(j_min, j_max + 1):
+            dim, basis = table.weights[j]
+            rows = _jacobian_data(cone, j).pivot_rows
+            digest.update(repr((
+                j, dim,
+                [[sorted(g.terms.items()) for g in tup] for tup in basis],
+                [(p, sorted(v.items())) for p, v in rows.items()])).encode())
+    assert digest.hexdigest() == PIVOT_GOLDEN
 
 
 def _random_tuple(rng, cone, j):

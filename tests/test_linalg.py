@@ -272,6 +272,72 @@ def test_pivot_columns_gaussian_rational_falls_back():
 
 
 # ---------------------------------------------------------------------------
+# positive row scales: the forward pass gives the same pivot rows for any
+# positive multiple of each input row, which is what lets graded hand it
+# integer Jacobian columns
+
+
+def _int_rows(rng, m, n):
+    """Sparse integer rows of mixed size, with integer combinations and
+    copies of earlier rows shuffled in."""
+    def entry():
+        return rng.choice((-1, 1)) * rng.randint(
+            1, 10 ** rng.choice((1, 4, 12)))
+    rows = [{j: entry() for j in range(n)
+             if rng.random() < rng.choice((0.2, 0.5, 1))} for _ in range(m)]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(rows), rng.choice(rows)
+        c, d = rng.randint(-5, 5), rng.randint(-5, 5)
+        row = {j: c * a.get(j, 0) + d * b.get(j, 0) for j in set(a) | set(b)}
+        rows.append({j: x for j, x in row.items() if x})
+    rows.append(dict(rng.choice(rows)))
+    rng.shuffle(rows)
+    return rows
+
+
+def _positive(rng):
+    """A random positive integer or rational."""
+    if rng.random() < 0.5:
+        return rng.randint(1, 10 ** 6)
+    return Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+
+
+def _scaled(rows, scales):
+    return [{j: s * x for j, x in v.items()} for v, s in zip(rows, scales)]
+
+
+def test_pivot_rows_unchanged_by_positive_row_scales():
+    rng = random.Random(31)
+    for _ in range(200):
+        rows = _int_rows(rng, rng.randint(1, 8), rng.randint(1, 9))
+        want, integer = linalg._pivot_rows(rows)
+        assert integer
+        assert all(type(x) is int for v in want.values() for x in v.values())
+        as_fractions = [{j: Fraction(x) for j, x in v.items()} for v in rows]
+        assert linalg._pivot_rows(as_fractions) == (want, True)
+        # int rows times positive integers stay int rows
+        ints = _scaled(rows, [rng.randint(1, 10 ** 6) for _ in rows])
+        assert linalg._pivot_rows(ints) == (want, True)
+        # times positive rationals they are Fraction rows, some with
+        # denominators; and Fraction rows scaled again
+        fracs = _scaled(rows, [_positive(rng) for _ in rows])
+        assert linalg._pivot_rows(fracs) == (want, True)
+        again = _scaled(fracs, [_positive(rng) for _ in rows])
+        assert linalg._pivot_rows(again) == (want, True)
+        # int and Fraction rows mixed in one matrix
+        mixed = [v if rng.random() < 0.5 else w for v, w in zip(ints, fracs)]
+        assert linalg._pivot_rows(mixed) == (want, True)
+
+
+def test_pivot_rows_flip_under_a_negative_scale():
+    rows = [{0: 2, 1: 4}, {1: 3, 2: -6}]
+    want = {0: {0: 1, 1: 2}, 1: {1: 1, 2: -2}}
+    assert linalg._pivot_rows(rows)[0] == want
+    assert linalg._pivot_rows(_scaled(rows, [-1, 1]))[0] == \
+        {0: {0: -1, 1: -2}, 1: {1: 1, 2: -2}}
+
+
+# ---------------------------------------------------------------------------
 # the one elimination loop behind both entry points, against the dense
 # Gauss-Jordan oracle rather than against itself
 
