@@ -29,7 +29,8 @@ import numpy as np
 
 from . import fd
 from .fd import mixed_wirtinger as fd_mixed_wirtinger
-from .jets import Jet, conjugate_exponent, wirtinger_exponent
+from .jets import (Batch, Jet, as_coeff, conjugate_exponent, pointwise,
+                   wirtinger_exponent)
 from .poly import Polynomial
 from .reports import Refusal
 
@@ -96,11 +97,12 @@ class Potential:
         return self._walks[order]
 
     def jet(self, z, order=4) -> Jet:
-        """Taylor jet of a at z in the 2*dimD shift variables (dz, dzbar)."""
-        vals = list(map(complex, z)) + [complex(v).conjugate() for v in z]
+        """Taylor jet of a at z in the 2*dimD shift variables (dz, dzbar);
+        the coordinates may be Batches (see conedeform.jets)."""
+        vals = list(map(as_coeff, z)) + [as_coeff(v).conjugate() for v in z]
         out = {}
         for e, p, scale in self._walk(order):
-            coeff = complex(p.evaluate(vals))
+            coeff = as_coeff(p.evaluate(vals))
             if coeff != 0:
                 out[e] = coeff * scale
         return Jet(2 * self.dimD, order, out)
@@ -128,7 +130,7 @@ class JetPotential:
             raise ValueError(f"potential known only to order "
                              f"{self._jet.order}, order {order} requested")
         jet = self._jet
-        if any(map(complex, z)):
+        if any(v != 0 for v in z):
             # re-expand the stored polynomial jet at the displaced point
             n = self.dimD
             mapping = {}
@@ -277,11 +279,19 @@ def _slot(K, n):
     return n if K == 0 else K - 1
 
 
-def _ddbar(jet: Jet, n) -> np.ndarray:
-    """The matrix d_I dbar_J of a jet in (dz, dxi, dzbar, dxibar)."""
+def _ddbar(jet: Jet, n, points=None) -> np.ndarray:
+    """The matrix d_I dbar_J of a jet in (dz, dxi, dzbar, dxibar); of a jet
+    batched over `points` points, one matrix per point."""
     slots = [_slot(K, n) for K in range(n + 1)]
-    return np.array([[jet.wirtinger((I,), (J,)) for J in slots]
-                     for I in slots], dtype=complex)
+    entries = [[jet.wirtinger((I,), (J,)) for J in slots] for I in slots]
+    if points is None:
+        return np.array(entries, dtype=complex)
+    g = np.empty((points, n + 1, n + 1), dtype=complex)
+    for I, row in enumerate(entries):
+        for J, v in enumerate(row):
+            g.real[:, I, J] = v.real
+            g.imag[:, I, J] = v.imag
+    return g
 
 
 def _lifted_jets(chart: ConeChart, z, xi, order):
@@ -291,11 +301,11 @@ def _lifted_jets(chart: ConeChart, z, xi, order):
     nv = 2 * n + 2
     lifted = {tuple(e[:n]) + (0,) + tuple(e[n:]) + (0,): c
               for e, c in chart.potential.jet(z, order).coeffs.items()}
-    xi = complex(xi)
+    xi = as_coeff(xi)
     fiber = (_slot(0, n),)
     # t = |xi|^2 expanded around |xi0|^2:  xibar0*dxi + xi0*dxibar + dxi*dxibar
     t = Jet(nv, order, {
-        wirtinger_exponent(nv): abs(xi) ** 2,
+        wirtinger_exponent(nv): pointwise(lambda x: abs(x) ** 2, xi),
         wirtinger_exponent(nv, fiber): xi.conjugate(),
         wirtinger_exponent(nv, (), fiber): xi,
         wirtinger_exponent(nv, fiber, fiber): 1.0,
@@ -318,6 +328,17 @@ def metric_field(chart: ConeChart):
         return _ddbar(_phi_jet(chart, z, xi, order=2), n)
 
     return g_at
+
+
+def _metric_values(chart: ConeChart, points) -> np.ndarray:
+    """metric_field(chart) at each point (z_1..z_n, xi) of points, bitwise,
+    stacked, from one jet batched over all of them.  Raises MixedZeros
+    where the points do not share one pattern of zero jet coefficients."""
+    n = chart.dimD
+    coords = [Batch.of(c) for c in zip(*points)]
+    with np.errstate(all="ignore"):      # CPython's floats do not warn
+        return _ddbar(_phi_jet(chart, coords[:n], coords[n], order=2), n,
+                      len(points))
 
 
 def scaling_exponent(t: TensorType, delta) -> Fraction:
@@ -374,13 +395,18 @@ def empirical_scaling_slope(chart_proto: ConeChart, kind: str,
                             k_range=range(1, 9)) -> float:
     """log-log slope of |T|_cone/|T|_smooth over xi = 2^-k.
 
-    Raises ValueError when a norm ratio is not finite and positive, as
-    happens once the powers of |xi| leave the float range."""
+    Raises ValueError when k_range has fewer than two distinct k, the
+    least a slope needs, and when a norm ratio is not finite and
+    positive, as happens once the powers of |xi| leave the float range."""
+    ks = list(k_range)
+    if len(set(ks)) < 2:
+        raise ValueError(f"a scaling slope needs at least two distinct k, "
+                         f"got {ks}")
     gfun = metric_field(chart_proto)
     gtil = comparison_metric_field(chart_proto)
     T = basis_tensor(kind, chart_proto.dimD)
     xs, ys = [], []
-    for k in k_range:
+    for k in ks:
         xi = 2.0 ** (-k)
         g = gfun(chart_proto.z, xi)
         gt = gtil(chart_proto.z, xi)
@@ -445,20 +471,6 @@ def christoffels_fd(chart: ConeChart, h=1e-5) -> np.ndarray:
     return np.einsum("lk,ijl->kij", ginv, dg)
 
 
-def _memoized(gfun):
-    """gfun evaluated once per point, keyed on the exact coordinates: an FD
-    quotient gets the same value from the memo as from a fresh call."""
-    values = {}
-
-    def g_at(z, xi):
-        key = (*z, xi)
-        if key not in values:
-            values[key] = gfun(z, xi)
-        return values[key]
-
-    return g_at
-
-
 @dataclass
 class CurvatureReport:
     max_riemann: float | None
@@ -483,11 +495,16 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
     formulas.  With full_riemann=True the whole FD curvature tensor
     R_(i jbar k lbar) = -dd g + g^(-1) dg dg is reported (flat test).
 
-    The metric field is evaluated once per distinct stencil point of a
-    grid point: the (K, L) and (L, K) mixed stencils, the diagonal second
-    differences, the FD Jacobian and the Riemann stencils read one memo
-    keyed on the exact coordinates, so every difference quotient uses the
-    values a fresh evaluation gives.
+    At each grid point the metric field is evaluated once per distinct
+    stencil point, in one batch.  A first pass of the stencils with a
+    field that returns the identity lists the points.  One jet batched
+    over them (conedeform.jets.Batch) gives every g, bitwise what a scalar
+    evaluation gives, and one stacked det every f (det g, or g_00 at a
+    degenerate base).  The stencils then read g and log f from a memo
+    keyed on the exact coordinates.  Where the batch raises MixedZeros
+    (the points do not share one zero pattern of jet coefficients, as at
+    z = 0) or another ArithmeticError, the grid point evaluates the
+    scalar field point by point instead, with the same values.
 
     h is the FD step of every stencil.  The error of a second difference
     is truncation ~ h^p plus roundoff ~ eps |f| / h^2; the default 1e-3
@@ -509,8 +526,9 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
     "convergence not reached" note, means the estimate exceeds that floor:
     the step is too coarse for the FD estimate to have settled.
     converged=True means it has settled to within its truncation and
-    roundoff error; it says nothing about the identity itself.  A step-independent Ricci defect,
-    such as one from a wrong mu, shows in ricci_defect only."""
+    roundoff error; it says nothing about the identity itself.  A
+    step-independent Ricci defect, such as one from a wrong mu, shows in
+    ricci_defect only.  An empty grid raises ValueError."""
     n = potential.dimD
     d = float(Fraction(delta))
     mu = float(Fraction(mu))
@@ -518,17 +536,17 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
         grid = [((0.05 + 0.1j,) * n, 0.9 + 0.2j),
                 ((-0.15 + 0.02j,) * n, 1.1 - 0.3j),
                 ((0.1 - 0.08j,) * n, 0.75)]
+    if len(grid) == 0:
+        raise ValueError("curvature_check needs at least one grid point")
     chart = ConeChart(Fraction(delta), n, (0,) * n, 1.0, potential)
     field_at = metric_field(chart)
+    identity = np.eye(n + 1, dtype=complex)
     max_riem = 0.0
     max_defect = 0.0
     converged = True
     notes = []
     for z0, xi0 in grid:
         coords = list(map(complex, z0)) + [complex(xi0)]
-        # the stencils below share most of their points; one memo per grid
-        # point keeps the memory bounded
-        gfun = _memoized(field_at)
 
         # base Hessian of log a (exact), for the target Ricci
         a_jet = potential.jet(z0, 2)
@@ -543,50 +561,92 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
         degenerate_base = np.max(np.abs(loga_hess)) < 1e-14
 
         target = np.zeros((n + 1, n + 1), dtype=complex)
-        if degenerate_base:
-            # only the fiber block is nondegenerate; log g_00 must be
-            # pluriharmonic in every direction
-            def logf(z, xi):
-                return cmath.log(gfun(z, xi)[0, 0])
-
-            def field(hstep):
-                return _fd_ddbar(logf, coords, hstep, richardson)
-            notes.append("base metric degenerate; checked pluriharmonicity "
-                         "of log g_00")
-        else:
-            def logf(z, xi):
-                return cmath.log(np.linalg.det(gfun(z, xi)))
-
+        if not degenerate_base:
             target[1:, 1:] = (mu - (n + 1) * d) * loga_hess
 
-            def field(hstep):
-                # the Ricci form -dd log det g
-                ric = np.zeros((n + 1, n + 1), dtype=complex)
-                for K in range(n + 1):
-                    for L in range(n + 1):
-                        if K == L:
-                            # d^2/dw dwbar = Laplacian / 4
-                            f1 = _moved(logf, coords, K)
-                            fx = fd.second(f1, 0.0, hstep, richardson)
-                            fy = fd.second(lambda t: f1(1j * t), 0.0, hstep,
-                                           richardson)
-                            ric[K, L] = -(fx + fy) / 4
-                        else:
-                            ric[K, L] = -fd_mixed_wirtinger(
-                                _moved(logf, coords, K, L), 0.0, 0.0, hstep,
-                                richardson)
-                return ric
+        def f_of(g):
+            """det g of a metric matrix or a stack of them; g_00 at a
+            degenerate base, where only the fiber block is nondegenerate
+            and log g_00 must be pluriharmonic in every direction."""
+            return g[..., 0, 0] if degenerate_base else np.linalg.det(g)
 
-        fine = field(h)
+        def stencils(read):
+            """(fine, coarse, log f, Riemann) from read(z, xi) = (g, log f);
+            the last three are None where not asked for."""
+            def gfun(z, xi):
+                return read(z, xi)[0]
+
+            def logf(z, xi):
+                return read(z, xi)[1]
+
+            if degenerate_base:
+                def field(hstep):
+                    return _fd_ddbar(logf, coords, hstep, richardson)
+            else:
+                def field(hstep):
+                    # the Ricci form -dd log det g
+                    ric = np.zeros((n + 1, n + 1), dtype=complex)
+                    for K in range(n + 1):
+                        for L in range(n + 1):
+                            if K == L:
+                                # d^2/dw dwbar = Laplacian / 4
+                                f1 = _moved(logf, coords, K)
+                                fx = fd.second(f1, 0.0, hstep, richardson)
+                                fy = fd.second(lambda t: f1(1j * t), 0.0,
+                                               hstep, richardson)
+                                ric[K, L] = -(fx + fy) / 4
+                            else:
+                                ric[K, L] = -fd_mixed_wirtinger(
+                                    _moved(logf, coords, K, L), 0.0, 0.0,
+                                    hstep, richardson)
+                    return ric
+
+            fine = field(h)
+            coarse = logf0 = riem = None
+            if diagnose_convergence:
+                coarse = field(4 * h)
+                logf0 = logf(coords[:n], coords[n])
+            if full_riemann and not degenerate_base:
+                ginv = np.linalg.inv(gfun(z0, xi0))
+                dg = _fd_jacobian(gfun, coords, h, richardson)
+                ddg = _fd_ddbar(gfun, coords, h, richardson)
+                # R_ijkl = -d_k dbar_l g_ij
+                #          + g^(q pbar) d_k g_iq conj(d_l g_jp)
+                riem = -ddg.transpose(2, 3, 0, 1) + \
+                    np.einsum("qp,kiq,ljp->ijkl", ginv, dg, dg.conj())
+            return fine, coarse, logf0, riem
+
+        # the points the stencils read, in the order they first read them
+        points = {}
+        stencils(lambda z, xi: points.setdefault((*z, xi), (identity, 0j)))
+        points = list(points)
+        try:
+            g = _metric_values(chart, points)
+            # a stacked det is bitwise the det of each matrix
+            values = dict(zip(points, zip(g, map(cmath.log,
+                                                 f_of(g).tolist()))))
+        except ArithmeticError:
+            values = {}
+
+        def read(z, xi):
+            key = (*z, xi)
+            if key not in values:
+                g = field_at(z, xi)
+                values[key] = (g, cmath.log(f_of(g)))
+            return values[key]
+
+        fine, coarse_field, logf0, riem = stencils(read)
+        if degenerate_base:
+            notes.append("base metric degenerate; checked pluriharmonicity "
+                         "of log g_00")
         defect = float(np.max(np.abs(fine - target)))
         max_defect = max(max_defect, defect)
         if diagnose_convergence:
-            coarse_field = field(4 * h)
             order = 4 if richardson else 2
             truncation = float(np.max(np.abs(fine - coarse_field))) / \
                 (4 ** order - 1)
             roundoff = ROUNDOFF_C * np.finfo(float).eps * \
-                max(1.0, abs(logf(coords[:n], coords[n]))) / h ** 2
+                max(1.0, abs(logf0)) / h ** 2
             floor = max(1e-9, roundoff)
             if not truncation <= floor:      # a NaN estimate fails too
                 converged = False
@@ -596,16 +656,7 @@ def curvature_check(potential: Potential, delta, mu, *, grid=None, h=1e-3,
                     f"{defect:.3e} vs {coarse:.3e} at step {4 * h:g}, "
                     f"truncation estimate {truncation:.3e} above the "
                     f"error floor {floor:.3e}; refine the step or the grid")
-        if degenerate_base:
-            continue
-
-        if full_riemann:
-            ginv = np.linalg.inv(gfun(z0, xi0))
-            dg = _fd_jacobian(gfun, coords, h, richardson)
-            ddg = _fd_ddbar(gfun, coords, h, richardson)
-            # R_ijkl = -d_k dbar_l g_ij + g^(q pbar) d_k g_iq conj(d_l g_jp)
-            riem = -ddg.transpose(2, 3, 0, 1) + \
-                np.einsum("qp,kiq,ljp->ijkl", ginv, dg, dg.conj())
+        if riem is not None:
             max_riem = max(max_riem, np.abs(riem).max())
     return CurvatureReport(max_riem if full_riemann else None,
                            max_defect, len(grid), converged, notes)

@@ -435,7 +435,8 @@ def test_exact_subcommands_load_no_numpy(tmp_path):
     script = textwrap.dedent("""
         import sys
         from conedeform.cli import main
-        numeric = {"numpy", "conedeform.dbar", "conedeform.cone_metric"}
+        numeric = {"numpy", "conedeform.dbar", "conedeform.cone_metric",
+                   "conedeform.jets", "conedeform.fd"}
         assert not numeric & set(sys.modules), "import"
         for argv in (["t1", "--example", "odp3"],
                      ["weight", "--example", "cubic-cone"],

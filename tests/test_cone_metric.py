@@ -20,7 +20,9 @@ from conedeform.cone_metric import (ConeChart, NotNormalizedChart,
                                     scaling_exponent, tensor_norm,
                                     tian_yau_exponent, basis_tensor,
                                     JetPotential)
-from conedeform.jets import Jet, conjugate_exponent, wirtinger_exponent
+from conedeform.jets import (Jet, MixedZeros, conjugate_exponent,
+                             wirtinger_exponent)
+from test_fd_golden import CURVATURE
 
 
 def _exponent(n, hol=(), anti=()):
@@ -636,23 +638,115 @@ def test_jet_sums_match_validating_constructor():
 ])
 def test_curvature_check_evaluates_each_point_once(monkeypatch, n, kwargs,
                                                    most):
-    points = []
-    field = cone_metric.metric_field
+    # every point handed to the batch evaluator, and every scalar call
+    batched, scalar = [], []
+    values, field = cone_metric._metric_values, cone_metric.metric_field
+
+    def recording_values(chart, points):
+        batched.extend(points)
+        return values(chart, points)
 
     def recording_field(chart):
         g_at = field(chart)
 
         def recorded(z, xi):
-            points.append((*map(complex, z), complex(xi)))
+            scalar.append((*map(complex, z), complex(xi)))
             return g_at(z, xi)
 
         return recorded
 
+    monkeypatch.setattr(cone_metric, "_metric_values", recording_values)
     monkeypatch.setattr(cone_metric, "metric_field", recording_field)
     grid = [((0.05 + 0.1j,) * n, 0.9 + 0.2j), ((-0.1 + 0.02j,) * n, 1.1)]
     curvature_check(fubini_study_potential(n), 1, n + 1, grid=grid, **kwargs)
+    points = [(*map(complex, p[:-1]), complex(p[-1])) for p in batched]
+    points += scalar
     assert len(points) == len(set(points))
     assert len(points) <= most * len(grid)
+    assert scalar == []                  # the batches served every point
+
+
+@pytest.mark.parametrize("name", CURVATURE)
+def test_batched_metric_values_are_the_scalar_ones(monkeypatch, name):
+    # at every stencil point of the golden curvature checks, the batched
+    # metric matrix has the bytes of the scalar metric_field
+    values, compared = cone_metric._metric_values, []
+
+    def compare(chart, points):
+        batch = values(chart, points)
+        g_at = metric_field(chart)
+        for g, p in zip(batch, points, strict=True):
+            assert g.tobytes() == g_at(p[:-1], p[-1]).tobytes(), p
+        compared.append(len(points))
+        return batch
+
+    monkeypatch.setattr(cone_metric, "_metric_values", compare)
+    CURVATURE[name][0]()
+    assert len(compared) == 3            # one batch per default grid point
+
+
+def _report_fields(rep):
+    return (rep.max_riemann, rep.ricci_defect, rep.grid_points,
+            rep.converged, rep.notes)
+
+
+def _batched_and_scalar(monkeypatch, call):
+    """(report, grid points that fell back, report with no batch at all)."""
+    values = cone_metric._metric_values
+    raised = []
+
+    def watched(chart, points):
+        try:
+            return values(chart, points)
+        except MixedZeros:
+            raised.append(len(points))
+            raise
+
+    def scalar_only(chart, points):
+        raise MixedZeros("batch path disabled")
+
+    monkeypatch.setattr(cone_metric, "_metric_values", watched)
+    rep = call()
+    monkeypatch.setattr(cone_metric, "_metric_values", scalar_only)
+    return rep, len(raised), call()
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"full_riemann": True},
+                                    {"diagnose_convergence": True}])
+def test_curvature_check_falls_back_where_zeros_differ(monkeypatch, kwargs):
+    # at z = 0 the stencil points that move only xi keep z = 0, where the
+    # d/dz coefficient of 1 + |z|^2 is exactly zero, and the others do not
+    grid = [((0j,), 0.9 + 0.2j), ((0.05 + 0.1j,), 1.1)]
+    rep, fell_back, want = _batched_and_scalar(
+        monkeypatch, lambda: curvature_check(fubini_study_potential(1),
+                                             Fraction(1, 2), 2, grid=grid,
+                                             **kwargs))
+    assert fell_back == 1
+    # repr of a float round-trips, so equal reprs are equal bits
+    assert repr(_report_fields(rep)) == repr(_report_fields(want))
+
+
+@pytest.mark.parametrize("dimD", [1, 2])
+def test_curvature_check_batches_a_jet_potential(monkeypatch, dimD):
+    # a JetPotential re-expands its stored jet at the batched points
+    chart = random_normalized_chart(random.Random(40 + dimD), dimD)
+    rep, fell_back, want = _batched_and_scalar(
+        monkeypatch, lambda: curvature_check(chart.potential, chart.delta,
+                                             dimD + 1, full_riemann=True))
+    assert fell_back == 0
+    assert repr(_report_fields(rep)) == repr(_report_fields(want))
+
+
+def test_curvature_check_refuses_an_empty_grid():
+    with pytest.raises(ValueError, match="at least one grid point"):
+        curvature_check(fubini_study_potential(1), 1, 2, grid=[])
+
+
+@pytest.mark.parametrize("k_range", [range(3, 4), range(3, 3), [3, 3]])
+def test_scaling_slope_needs_two_points(k_range):
+    ch = ConeChart(Fraction(1, 2), 1, (0,), 1.0, fubini_study_potential(1))
+    with pytest.raises(ValueError, match="at least two distinct k"):
+        empirical_scaling_slope(ch, "vh", k_range)
 
 
 # -- metamorphic relation: symmetries of the Fubini-Study potential ---------
