@@ -436,8 +436,13 @@ def vanishing_locus(vector, active) -> Locus:
     """Common zero locus of parameter polynomials over the active params.
 
     Handles: identically zero, affine systems (exactly), and univariate
-    systems of degree <= 2 (exact Q(i) roots).  Anything else is reported
-    as 'unknown' and treated as nonvanishing by the caller."""
+    systems of degree <= 2 (exact Q(i) roots).  A system nonlinear in
+    several parameters is not solved: when the natural chain (every
+    active parameter 0) lies on its locus, that one point is returned as
+    kind 'points' ("partially enumerated"), else the kind is 'unknown',
+    which the caller treats as nonvanishing.  On either branch the walk
+    skips the rest of the locus, so the m(X,D) it reports is only a
+    lower bound."""
     polys = [p for p in map(_lift_coeff, vector) if not p.is_zero()]
     if not polys:
         return Locus("all", description="identically zero")

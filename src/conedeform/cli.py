@@ -19,22 +19,8 @@ from .reports import Refusal, Report, Section, digest
 # The numeric engines (cone_metric, dbar) load numpy, so metric and dbar
 # import them when they run; t1, weight, rate and cech never do.
 
-ENV_DEFAULTS = {
-    "CONEDEFORM_DBAR_TOL": ("dbar --tol default", "1e-10"),
-    "CONEDEFORM_DBAR_RINGS": ("dbar --rings default", "8"),
-    "CONEDEFORM_DBAR_ANGULAR": ("dbar --angular default", "64"),
-    "CONEDEFORM_FD_STEP": ("metric finite-difference step", "1e-5"),
-}
-
-
-def _env(name, cast):
-    """The override `name` cast by `cast`, else its ENV_DEFAULTS value."""
-    raw = os.environ.get(name, ENV_DEFAULTS[name][1])
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"{name}={raw!r} is not a valid "
-                         f"{cast.__name__}") from None
+# finite-difference step of the metric report's Christoffel check
+FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +295,8 @@ def cmd_metric(args):
             raise ParseError(f"--sweep takes k0..k1 with k0 < k1 and "
                              f"2^-2k1 > 0, got {args.sweep!r}")
     chart = ConeChart(delta, args.dimD, (0.0,) * args.dimD, xi, pot)
-    h = _env("CONEDEFORM_FD_STEP", float)
     rep = Report("metric", args.seed, _input_digest(
-        args.potential, args.delta, args.dimD, args.xi, args.sweep, h))
+        args.potential, args.delta, args.dimD, args.xi, args.sweep, FD_STEP))
     m = metric_at(chart)
     sec = rep.section("closed formulas")
     sec.add("delta", delta)
@@ -322,7 +307,7 @@ def cmd_metric(args):
     sec.add("Gamma^0_00", m.christoffels[0, 0, 0])
     sec.add("|dz|", m.frame_norms["dz"])
     sec.add("|dxi|", m.frame_norms["dxi"])
-    gfd = christoffels_fd(chart, h=h)
+    gfd = christoffels_fd(chart, h=FD_STEP)
     sec.add("FD christoffel defect",
             float(abs(gfd - m.christoffels).max()))
     if args.sweep:
@@ -427,28 +412,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, one per process, with the dbar defaults read from
-    the environment overrides on every call."""
-    parser, dbar = _parsers()
-    dbar.set_defaults(rings=_env("CONEDEFORM_DBAR_RINGS", int),
-                      angular=_env("CONEDEFORM_DBAR_ANGULAR", int),
-                      tol=_env("CONEDEFORM_DBAR_TOL", float))
-    return parser
-
-
 @functools.cache
-def _parsers():
-    """(parser, its dbar subparser), built once per process: building the
-    argparse tree takes about as long as a small exact job."""
-    epilog_lines = ["environment overrides:"]
-    for name, (what, default) in ENV_DEFAULTS.items():
-        epilog_lines.append(f"  {name}: {what} (default {default})")
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: building the argparse
+    tree takes about as long as a small exact job."""
     parser = _Parser(prog="conedeform",
                      description="Deformation invariants of cone "
                                  "singularities and numerical checks for "
                                  "asymptotically conical geometry.",
-                     epilog="\n".join(epilog_lines),
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -503,21 +474,19 @@ def _parsers():
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--R", type=float, required=True)
-    p.add_argument("--rings", type=int)
-    p.add_argument("--angular", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--rings", type=int, default=8)
+    p.add_argument("--angular", type=int, default=64)
+    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--model", required=True)
     p.add_argument("--report", default=None)
     common(p)
     p.set_defaults(func=cmd_dbar)
 
-    return parser, p
+    return parser
 
 
 def main(argv=None) -> int:
     try:
-        # build_parser reads the environment overrides on every call, so
-        # a malformed one is an input error whatever the subcommand
         args = build_parser().parse_args(argv)
         if args.output:
             _check_writable(args.output)

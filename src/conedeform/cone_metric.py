@@ -47,8 +47,8 @@ class Potential:
     """Fiberwise potential a as an exact polynomial in (z_1..z_n, zbar_1..zbar_n).
 
     Real-valuedness requires the coefficient of (p, q) to equal the
-    conjugate of the coefficient of (q, p); with rational coefficients
-    that is plain symmetry, which is validated."""
+    conjugate of the coefficient of (q, p).  The coefficients must be
+    rational (Fraction), so that is plain symmetry; both are validated."""
 
     def __init__(self, dimD: int, poly: Polynomial):
         if poly.nvars != 2 * dimD:
@@ -56,6 +56,8 @@ class Potential:
         self.dimD = dimD
         self.poly = poly
         for e, c in poly.terms.items():
+            if not isinstance(c, Fraction):
+                raise ValueError("potential coefficients must be rational")
             if poly.terms.get(conjugate_exponent(e), None) != c:
                 raise ValueError("potential is not real-valued "
                                  "(coefficients not mirror-symmetric)")

@@ -152,40 +152,6 @@ def test_output_file(tmp_path, capsys):
     assert "dim[-2]" in path.read_text()
 
 
-def test_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CONEDEFORM_DBAR_ANGULAR", "16")
-    from conedeform.cli import build_parser
-    p = build_parser()
-    args = p.parse_args(["dbar", "--nu", "0.0", "--R", "0.3",
-                         "--model", "const:0"])
-    assert args.angular == 16
-
-
-@pytest.mark.parametrize("step", ["0", "nan", "-1e-5", "inf"])
-def test_bad_fd_step_is_input_error(capsys, monkeypatch, step):
-    monkeypatch.setenv("CONEDEFORM_FD_STEP", step)
-    code = main(["metric", "--delta", "1/2", "--potential", "1+|z|^2"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "FD_christoffel_defect" not in captured.out
-    assert captured.err.startswith("input error:")
-    assert "finite-difference step" in captured.err
-
-
-@pytest.mark.parametrize("name, raw", [("CONEDEFORM_DBAR_RINGS", "abc"),
-                                       ("CONEDEFORM_DBAR_ANGULAR", "6.5"),
-                                       ("CONEDEFORM_DBAR_TOL", "tiny")])
-def test_malformed_env_override_is_input_error(capsys, monkeypatch, name,
-                                               raw):
-    # main reads the dbar overrides on every call, so every subcommand
-    # meets them
-    monkeypatch.setenv(name, raw)
-    code = main(["t1", "--example", "odp3"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("input error:") and name in err
-
-
 @pytest.mark.parametrize("argv", [
     ["--dimD", "1", "--potential", "1+|z2|^2"],
     ["--potential", "1+|z0|^2"],
@@ -326,15 +292,6 @@ def test_digest_covers_output_options(capsys, base, variants):
     assert len(digests) == len(variants)
 
 
-def test_metric_digest_covers_fd_step(capsys, monkeypatch):
-    argv = ["metric", "--delta", "1", "--potential", "1+|z|^2"]
-    digests = set()
-    for step in ("1e-5", "1e-4"):
-        monkeypatch.setenv("CONEDEFORM_FD_STEP", step)
-        digests.add(_digest_line(capsys, argv))
-    assert len(digests) == 2
-
-
 DBAR_ZERO = ["dbar", "--nu", "0.0", "--R", "0.3", "--rings", "4",
              "--angular", "16", "--model", "const:0"]
 
@@ -463,7 +420,7 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting)
-    cli._parsers.cache_clear()
+    cli.build_parser.cache_clear()
     argv = ["rate", "--n", "3", "--alpha", "2", "--abs-weight", "1"]
     assert main(argv) == 0
     first = len(built)
@@ -471,37 +428,21 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert first > 0 and len(built) == first
 
 
-def test_dbar_overrides_are_read_on_every_call(capsys, monkeypatch):
-    """An override set, changed, removed or broken between two main calls
-    shows in the next call."""
-    argv = [x for x in DBAR_ZERO if x not in ("--angular", "16")]
-    seen = []
-    for value in ("16", "8", None):
-        if value is None:
-            monkeypatch.delenv("CONEDEFORM_DBAR_ANGULAR")
-        else:
-            monkeypatch.setenv("CONEDEFORM_DBAR_ANGULAR", value)
-        code, out = run(capsys, *argv, "--format", "kv")
-        assert code == 0
-        seen += [ln for ln in out.splitlines()
-                 if ln.startswith("beltrami_solve.angular=")]
-    assert seen == ["beltrami_solve.angular=16", "beltrami_solve.angular=8",
-                    "beltrami_solve.angular=64"]
+def test_settings_come_from_argv_alone(capsys, monkeypatch):
+    """dbar's grid and tolerance defaults are the flag values 8, 64 and
+    1e-10, and no environment variable moves a report."""
+    dbar_argv = ["dbar", "--nu", "0.6", "--R", "0.4", "--model",
+                 "power:0.05,0.8"]
+    argvs = [["t1", "--example", "odp3"],
+             ["metric", "--delta", "1/2", "--potential", "1+|z|^2"],
+             dbar_argv]
+    clean = [run(capsys, *argv, "--format", "kv") for argv in argvs]
+    assert all(code == 0 for code, _ in clean)
+    assert run(capsys, *dbar_argv, "--rings", "8", "--angular", "64",
+               "--tol", "1e-10", "--format", "kv") == clean[-1]
     monkeypatch.setenv("CONEDEFORM_DBAR_ANGULAR", "6.5")
-    assert main(argv) == 1
-    assert "CONEDEFORM_DBAR_ANGULAR" in capsys.readouterr().err
-
-
-def test_help_lists_every_override(capsys):
-    code = main(["--help"])
-    out = capsys.readouterr().out
-    assert code == 0
-    epilog = out[out.index("environment overrides:"):].splitlines()
-    assert epilog[1:] == [
-        "  CONEDEFORM_DBAR_TOL: dbar --tol default (default 1e-10)",
-        "  CONEDEFORM_DBAR_RINGS: dbar --rings default (default 8)",
-        "  CONEDEFORM_DBAR_ANGULAR: dbar --angular default (default 64)",
-        "  CONEDEFORM_FD_STEP: metric finite-difference step (default 1e-5)"]
+    monkeypatch.setenv("CONEDEFORM_FD_STEP", "nan")
+    assert [run(capsys, *argv, "--format", "kv") for argv in argvs] == clean
 
 
 # the engine call each module's refusals come from, as the CLI reads it:

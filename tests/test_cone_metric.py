@@ -22,6 +22,7 @@ from conedeform.cone_metric import (ConeChart, NotNormalizedChart,
                                     JetPotential)
 from conedeform.jets import (Jet, MixedZeros, conjugate_exponent,
                              wirtinger_exponent)
+from conedeform.rational import GaussianRational
 from test_fd_golden import CURVATURE
 
 
@@ -58,6 +59,14 @@ def test_calabi_exponent_values():
         calabi_exponent(0, 1)
     with pytest.raises(ValueError):
         tian_yau_exponent(1, 2)
+
+
+@pytest.mark.parametrize("c", [GaussianRational(0, 1), GaussianRational(2)])
+def test_potential_refuses_non_rational_coefficients(c):
+    """A Gaussian coefficient passes the mirror check on (1, 1) but is no
+    rational; it is an input error, not a TypeError in curvature_check."""
+    with pytest.raises(ValueError, match="must be rational"):
+        Potential.from_terms(1, {(0, 0): 1, (1, 1): c})
 
 
 def test_metric_at_flat_point():

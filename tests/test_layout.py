@@ -3,10 +3,12 @@ quotient is formed in fd.py, cone_metric builds no jet exponent by
 hand (it goes through jets.wirtinger_exponent), every power by
 square-and-multiply is rational.power, and the Beltrami source
 -a(zeta + zfrak) (1 + conj(d zfrak)) is formed only in
-dbar._beltrami_source.  src keeps only what the package, the bench or
-the demos reach, plus a named library API; test oracles live in the
-tests.  Every method of src is referenced, and every defaulted parameter
-is passed, somewhere in src, the bench, the demos or the tests."""
+dbar._beltrami_source.  No module reads the environment: settings come
+from argv and the deck alone.  src keeps only what the package, the
+bench or the demos reach, plus a named library API; test oracles live
+in the tests.  Every method of src is referenced, and every defaulted
+parameter is passed, somewhere in src, the bench, the demos or the
+tests."""
 
 import ast
 import pathlib
@@ -19,6 +21,7 @@ QUOTIENT = re.compile(r"/ \((2 \* h|h \* h)")
 HAND_EXPONENT = re.compile(r"\[0\] \* (\(2 \* n|nv\b)")
 HALVING = re.compile(r"\bk >>= 1\b")
 BELTRAMI_FACTOR = re.compile(r"\(1\.0 \+ np\.conj\(")
+ENVIRONMENT_READ = re.compile(r"\b(environ|getenv)\b")
 
 
 def _offending(pattern, path):
@@ -64,6 +67,14 @@ def test_only_beltrami_source_forms_the_beltrami_factor():
     assert found and where == {("dbar.py", "_beltrami_source")}, where
 
 
+def test_src_reads_no_environment():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    found = [hit for path in modules
+             for hit in _offending(ENVIRONMENT_READ, path)]
+    assert found == [], found
+
+
 def test_patterns_catch_the_forms_they_guard():
     assert QUOTIENT.search("return (fp - fm) / (2 * h)")
     assert QUOTIENT.search("return (fp - 2 * f0 + fm) / (h * h)")
@@ -74,6 +85,9 @@ def test_patterns_catch_the_forms_they_guard():
     assert HALVING.search("        k >>= 1")
     assert not HALVING.search("        kk >>= 1")
     assert BELTRAMI_FACTOR.search("gv = -a(zeta + zf) * (1.0 + np.conj(dzf))")
+    assert ENVIRONMENT_READ.search('raw = os.environ.get("TOL", "1e-10")')
+    assert ENVIRONMENT_READ.search('rings = int(os.getenv("RINGS", "8"))')
+    assert not ENVIRONMENT_READ.search("# the environment is never read")
 
 
 # Top-level names that nothing in src, bench/ or demos/ calls, kept as the
