@@ -30,8 +30,10 @@ FFT.
 
 The weighted Hoelder norms take exact maxima over all node pairs of each
 ring.  Ring k is ring 0 scaled by 2^-k, bitwise, so the pair distances
-are formed once per grid, from ring 0, and scaled; per ring and call only
-their alpha-th powers and the field differences are formed.
+are formed once per grid, from ring 0, and scaled.  A float32 screen, over
+a table of d^-alpha built from them once per grid and alpha, bounds each
+block of pairs; the float64 quotient is formed only on the few blocks
+that can hold the max.
 
 Only the operator-identity checks differentiate transform values, by the
 central differences of conedeform.fd, unextrapolated, at steps scaled by
@@ -194,6 +196,7 @@ class _Plan:
         D[:, diag, diag] = -D.sum(axis=-1)
         self.dr = D
         self.pairs = None    # ring 0's pair distances, built on first use
+        self.screen = None   # (alpha, _screen_table(pairs, alpha)), likewise
 
 
 def _bary_interp(r_nodes, bary_w, targets):
@@ -425,7 +428,11 @@ def weighted_norms(f: DiskField, p: HolderParams) -> NormReport:
     k's nodes are ring 0's times 2^-k, bitwise (its bounds are R 2^-k, and
     scaling by a power of two rounds the same), and so are its pair
     distances; this holds while R 2^-rings is a normal float.  So the pair
-    distances are taken once per grid, from ring 0, and scaled."""
+    distances are taken once per grid, from ring 0, and scaled.  Each sup
+    is the float64 quotient of the pair that holds it: a float32 screen
+    over float32(d^-alpha), a table built from the pair distances once per
+    grid and alpha, bounds every block of pairs, and the float64 quotient
+    is formed only on the blocks that can hold the max (_holder_sups)."""
     grid = f.grid
     V = f.values
     dz, dzb = _ring_derivatives(grid, V)
@@ -433,6 +440,8 @@ def weighted_norms(f: DiskField, p: HolderParams) -> NormReport:
     if plan.pairs is None:
         plan.pairs = _pair_distances(grid.nodes()[0].ravel())
     alpha, nu = p.alpha, p.nu
+    if plan.screen is None or plan.screen[0] != alpha:
+        plan.screen = (alpha, _screen_table(plan.pairs, alpha))
     per_ring = []
     parts = np.zeros(4)
     for k in range(grid.rings):
@@ -442,7 +451,7 @@ def weighted_norms(f: DiskField, p: HolderParams) -> NormReport:
         sup = float(np.abs(w).max())
         supd = float(d1.max())
         hol, holz, holzb = _holder_sups(
-            plan.pairs, 2.0 ** -k,
+            plan.pairs, plan.screen[1], 2.0 ** -k,
             np.stack((w, dz[k].ravel(), dzb[k].ravel())), alpha)
         hold = max(holz, holzb)
         terms = [sup, s * supd, s ** alpha * hol, s ** (1 + alpha) * hold]
@@ -454,7 +463,17 @@ def weighted_norms(f: DiskField, p: HolderParams) -> NormReport:
     return NormReport(total, *parts, per_ring)
 
 
-_PAIR_ROWS = 16   # rows per block of the pair-distance table
+_PAIR_ROWS = 16   # rows per block of the pair-distance table and its screen
+
+# The float32 screen's slack, relative and absolute (times the block's
+# largest weight): the error bounds of _holder_sups with a margin of more
+# than 4.  Outside these ranges of the weights and of sigma the bounds are
+# not proven, so the screen is skipped there.
+_SCREEN_REL = 2.0 ** -18
+_SCREEN_ABS = 2.0 ** -20
+_WEIGHT_RANGE = (2.0 ** -100, 2.0 ** 100)
+_SIGMA_EXPONENTS = (-900, 1020)
+_NORMAL = 2.0 ** -1022   # the smallest normal float64
 
 
 def _pair_distances(pts):
@@ -468,19 +487,126 @@ def _pair_distances(pts):
     return blocks
 
 
-def _holder_sups(pairs, scale, fields, alpha):
+@dataclass
+class _Screen:
+    """The float32 screen's table for one alpha, from the pair table."""
+    weights: list        # per block, float32(d^-alpha), 0 at coincident pairs
+    slack: np.ndarray    # per block, _SCREEN_ABS * its largest weight
+    dmin: float          # the smallest nonzero pair distance
+
+
+def _screen_table(pairs, alpha):
+    """The _Screen of the pair table `pairs` for `alpha`, or None when a
+    nonzero weight d^-alpha lies outside _WEIGHT_RANGE."""
+    dmin = min(float(np.min(d, where=d > 0, initial=np.inf))
+               for _, d, _ in pairs)
+    dmax = max(float(d.max()) for _, d, _ in pairs)
+    lo, hi = _WEIGHT_RANGE
+    with np.errstate(divide="ignore", over="ignore"):
+        if not (np.float64(dmin) ** -alpha <= hi
+                and np.float64(dmax) ** -alpha >= lo):
+            return None
+        weights = []
+        for _, d, coincident in pairs:
+            w = (d ** -alpha).astype(np.float32)
+            w.reshape(-1)[coincident] = 0.0
+            weights.append(w)
+    slack = _SCREEN_ABS * np.array([float(w.max()) for w in weights])
+    return _Screen(weights, slack, dmin)
+
+
+def _holder_sups(pairs, screen, scale, fields, alpha):
     """Exact max over point pairs of |v_i - v_j| / (scale d_ij)^alpha for
     each row v of `fields`, d the table of _pair_distances; coincident
-    pairs give 0, whatever the values there."""
+    pairs give 0, whatever the values there.
+
+    Every max is taken by _block_sups, the float64 quotient, on the blocks
+    of the pair table that can hold it; a float32 screen finds them.  Each
+    row v is centred on its midrange c and scaled by the power of two
+    sigma >= max(|Re(v - c)|, |Im(v - c)|), so u = (v - c)/sigma, cast to
+    complex64, has parts in [-1, 1].  The screen value of a pair is
+    float32 |u_i - u_j| times w = float32(d_ij^-alpha) (`screen`).  With
+    kappa = scale^alpha / sigma and T the float64 quotient, each screen
+    value lies within
+
+        kappa T (1 +- r) +- a w,    r <= 2^-20.5,  a <= 2^-22.5:
+
+    r from the float32 subtraction, hypotf (1 ulp) and product, the
+    float32 rounding of d^-alpha, and the float64 power, hypot and divide
+    of T; a from the float64 centring (2^-52 sigma per part of u_i - u_j)
+    and the complex64 cast of u, whose parts lie in [-1, 1] (2^-25 per
+    part).  So with M_b a block's largest screen value and e_b =
+    _SCREEN_ABS * its largest w, the largest kappa T of the block lies in
+    [(M_b - e_b)/(1 + REL), (M_b + e_b)/(1 - REL)], REL = _SCREEN_REL.
+    Only the blocks whose upper bound reaches the largest lower bound are
+    evaluated in float64, and the one that holds the max is among them, so
+    the max is bit for bit the max over every block.  A quotient that
+    overflows to inf leads the screen too; sigma >= 2^-900 keeps the
+    float64 underflow far below a w, and sigma <= 2^1020 keeps
+    |v_i - v_j| finite.
+
+    A row is evaluated in float64 on every block when it holds a NaN or an
+    infinity, is constant, has sigma outside [2^-900, 2^1020] or a screen
+    bound that is not finite; all rows are, when `screen` is None (a
+    weight outside _WEIGHT_RANGE) or scale * d_ij is subnormal."""
+    exact = np.ones((len(fields), len(pairs)), dtype=bool)
+    if screen is not None and screen.dmin * scale >= _NORMAL:
+        live, units = _screen_units(fields)
+        if live.any():
+            exact[live] = _screen_candidates(pairs, screen, units)
     sups = np.zeros(len(fields))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i0, d, coincident in pairs:
-            q = np.abs(fields[:, i0:i0 + _PAIR_ROWS, None]
-                       - fields[:, None, i0:])
-            np.divide(q, (d * scale) ** alpha, out=q)
-            q.reshape(len(fields), -1)[:, coincident] = 0.0
-            sups = np.maximum(sups, q.max(axis=(1, 2)))
+        for b in np.flatnonzero(exact.any(axis=0)):
+            rows = np.flatnonzero(exact[:, b])
+            sups[rows] = np.maximum(
+                sups[rows], _block_sups(fields[rows], pairs[b], scale, alpha))
     return [float(x) for x in sups]
+
+
+def _screen_units(fields):
+    """(live, u): the rows of `fields` the screen can take, and those rows
+    as complex64 u = (v - c) / sigma, c the midrange and sigma the power
+    of two of _holder_sups.  A row is live when m = max(|Re(v - c)|,
+    |Im(v - c)|) is finite (a NaN or an infinity in v makes it NaN), not 0
+    (a constant) and sigma lies in [2^-900, 2^1020]."""
+    re, im = fields.real, fields.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (0.5 * re.max(axis=1) + 0.5 * re.min(axis=1)
+             + 1j * (0.5 * im.max(axis=1) + 0.5 * im.min(axis=1)))
+        centred = fields - c[:, None]
+        m = np.maximum(np.abs(centred.real).max(axis=1),
+                       np.abs(centred.imag).max(axis=1))
+    _, e = np.frexp(m)
+    lo, hi = _SIGMA_EXPONENTS
+    live = np.isfinite(m) & (m > 0) & (e >= lo) & (e <= hi)
+    sigma = np.ldexp(1.0, e[live])
+    return live, (centred[live] / sigma[:, None]).astype(np.complex64)
+
+
+def _screen_candidates(pairs, screen, units):
+    """(rows x blocks) True where a block can hold the row's max, by the
+    bounds of _holder_sups; every block of a row whose bounds are not
+    finite."""
+    top = np.empty((len(units), len(pairs)))
+    for b, ((i0, _, _), w) in enumerate(zip(pairs, screen.weights)):
+        q = np.abs(units[:, i0:i0 + _PAIR_ROWS, None] - units[:, None, i0:])
+        q *= w
+        top[:, b] = q.max(axis=(1, 2))
+    upper = (top + screen.slack) / (1 - _SCREEN_REL)
+    lower = (top - screen.slack) / (1 + _SCREEN_REL)
+    finite = np.isfinite(upper).all(axis=1, keepdims=True)
+    return (upper >= lower.max(axis=1, keepdims=True)) | ~finite
+
+
+def _block_sups(fields, block, scale, alpha):
+    """Max over one block of the pair table of the float64 quotient
+    |v_i - v_j| / (scale d_ij)^alpha for each row v of `fields`, 0 at the
+    coincident pairs."""
+    i0, d, coincident = block
+    q = np.abs(fields[:, i0:i0 + _PAIR_ROWS, None] - fields[:, None, i0:])
+    np.divide(q, (d * scale) ** alpha, out=q)
+    q.reshape(len(fields), -1)[:, coincident] = 0.0
+    return q.max(axis=(1, 2))
 
 
 def weighted_sup(f: DiskField, weight_exp: float) -> float:
@@ -561,7 +687,8 @@ def solve_beltrami(model: PerturbationModel, p: HolderParams, R, tol=1e-10,
     exceeds the contraction threshold 1/4.  Stops after MAX_ITERATIONS;
     the residual is measured by beltrami_residual, on a finer grid over
     the declared rings.  `rings` and `extra_rings` must be whole numbers,
-    and `extra_rings` nonnegative."""
+    and `extra_rings` at least 1: the verification grid reaches below
+    R 2^-rings, and with no extra ring that is the hole, where g = 0."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     rings = _whole(rings, "rings")
@@ -569,6 +696,12 @@ def solve_beltrami(model: PerturbationModel, p: HolderParams, R, tol=1e-10,
     if extra_rings < 0:
         raise ValueError(f"extra_rings must be nonnegative, got "
                          f"{extra_rings}")
+    if extra_rings == 0:
+        raise ValueError(
+            "extra_rings must be at least 1: with none, the residual's "
+            "check grid (radius 0.98 R) reaches below R 2^-rings into the "
+            "truncation hole, where g = 0, and would report the missing "
+            "source as the residual")
     if model.eta > 0 and not p.nu < model.eta:
         raise ValueError("the weight nu must lie strictly below eta")
     grid = DiskGrid(R, rings + extra_rings, angular, radial, puncture=True)

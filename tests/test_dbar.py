@@ -433,6 +433,149 @@ def test_holder_sups_match_brute_force_oracle(shape, name):
                 assert ring["dholder"].hex() == max(holz, holzb).hex()
 
 
+def _holder_sups(pts, fields, alpha, scale=1.0):
+    """dbar._holder_sups on the pair table of `pts`, as weighted_norms
+    calls it, with the screen table for alpha (None where it is refused)."""
+    pairs = dbar._pair_distances(pts)
+    return dbar._holder_sups(pairs, dbar._screen_table(pairs, alpha), scale,
+                             np.stack(fields), alpha)
+
+
+def _ring0(R):
+    return DiskGrid(R, 1, 32, 6).nodes()[0].ravel()
+
+
+def _noise(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def _one_ulp(n):
+    v = np.full(n, 1.0 + 0.5j)
+    v[17] = np.nextafter(1.0, 2.0) + 0.5j
+    return v
+
+
+def _tied_line():
+    """Points 0..63 on a line and a field with |dv| / d = 1 exactly at
+    (0, 1), in row block 0, and at (39, 40) and (40, 41), in row block 2;
+    every other pair is below."""
+    v = np.zeros(64, dtype=complex)
+    v[[0, 40]] = 1.0
+    return np.arange(64.0).astype(complex), v
+
+
+ADVERSARIAL_FIELDS = {
+    "large mean": lambda pts: 1e6 + 1e-9 * _noise(len(pts), 1),
+    "one ulp off constant": lambda pts: _one_ulp(len(pts)),
+    "tiny": lambda pts: 1e-300 * _noise(len(pts), 2),
+    "huge": lambda pts: 1e300 * _noise(len(pts), 3),
+    "smooth": lambda pts: np.conj(pts) * pts ** 2 / np.abs(pts).max() ** 3,
+}
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("name", ADVERSARIAL_FIELDS)
+@pytest.mark.parametrize("R", [0.37, 1e-30, 1e30, 1e33])
+def test_holder_sups_match_oracle_on_adversarial_fields(R, name, alpha):
+    """The screened sups equal the brute-force oracle's bit for bit on
+    fields that stress the screen: a mean far above the spread, a
+    constant moved by one ULP, magnitudes near the float64 limits, and
+    radii where d^-alpha leaves the screen's range at alpha = 0.99 (R =
+    1e-30 and 1e33), so that every block is evaluated in float64."""
+    pts = _ring0(R)
+    v = ADVERSARIAL_FIELDS[name](pts)
+    fields = (v, v * 1j + 2.0, np.conj(v))
+    got = _holder_sups(pts, fields, alpha)
+    want = _brute_holder_sups(pts, fields, alpha)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    scale = 2.0 ** -5
+    got = _holder_sups(pts, fields, alpha, scale)
+    want = _brute_holder_sups(pts * scale, fields, alpha)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 0.99])
+def test_holder_sups_find_maxima_tied_across_blocks(alpha):
+    pts, v = _tied_line()
+    fields = (v, 3.0 * v, np.zeros_like(v) + 1j)
+    got = _holder_sups(pts, fields, alpha)
+    assert got == _brute_holder_sups(pts, fields, alpha) == [1.0, 3.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+def test_holder_sups_screen_the_finite_fields_beside_a_bad_one(bad):
+    """One non-finite field among three: it takes every block in float64
+    (its sup is NaN or inf, as the oracle's), the other two are screened."""
+    pts = _ring0(0.37)
+    smooth = np.conj(pts) * pts ** 2
+    broken = smooth.copy()
+    broken[40] = bad
+    fields = (smooth, broken, 1e6 + 1e-9 * _noise(len(pts), 4))
+    for alpha in (0.01, 0.5, 0.99):
+        got = _holder_sups(pts, fields, alpha)
+        want = _brute_holder_sups(pts, fields, alpha)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def _count_exact_blocks(monkeypatch):
+    visits = []
+    exact = dbar._block_sups
+
+    def counting(fields, block, scale, alpha):
+        visits.append(len(fields))
+        return exact(fields, block, scale, alpha)
+
+    monkeypatch.setattr(dbar, "_block_sups", counting)
+    return visits
+
+
+def test_holder_sups_skip_the_screen_where_its_bounds_do_not_hold(
+        monkeypatch):
+    """Every block is evaluated in float64 for a constant field, sigma
+    below 2^-900, weights d^-alpha outside [2^-100, 2^100], and a scale
+    that makes scale * d subnormal; the screen takes a field one ULP off
+    a constant."""
+    visits = _count_exact_blocks(monkeypatch)
+    pts = _ring0(0.37)
+    nblocks = len(dbar._pair_distances(pts))
+    cases = [(pts, np.full(len(pts), 2.0 - 1j), 0.5, 1.0),
+             (pts, 1e-300 * _noise(len(pts), 5), 0.5, 1.0),
+             (_ring0(1e-30), _noise(len(pts), 6), 0.99, 1.0),
+             (_ring0(1e33), _noise(len(pts), 7), 0.99, 1.0),
+             (_ring0(1e-300), _noise(len(pts), 8), 0.01, 2.0 ** -40)]
+    for where, v, alpha, scale in cases:
+        visits.clear()
+        _holder_sups(where, (v,), alpha, scale)
+        assert visits == [1] * nblocks
+    visits.clear()
+    _holder_sups(pts, (_one_ulp(len(pts)),), 0.5)
+    assert 0 < sum(visits) < nblocks
+
+
+def test_screen_leaves_few_blocks_to_float64(monkeypatch):
+    """On a smooth field of an 8 x 64 x 10 grid (40 row blocks a ring), the
+    float64 quotient is formed on at most 15 of the 120 (block, field)
+    pairs of each ring: the screen is what makes the sups cheap."""
+    visits = _count_exact_blocks(monkeypatch)
+    calls = []
+    holder_sups = dbar._holder_sups
+
+    def per_call(*args):
+        visits.clear()
+        out = holder_sups(*args)
+        calls.append(sum(visits))
+        return out
+
+    monkeypatch.setattr(dbar, "_holder_sups", per_call)
+    grid = DiskGrid(0.3, 8, 64, 10)
+    F = DiskField.from_function(grid, lambda z: np.conj(z) * z ** 2
+                                + 0.1 * np.exp(z))
+    for alpha in (0.2, 0.5, 0.9):
+        weighted_norms(F, HolderParams(alpha, 0.5))
+    assert len(calls) == 24 and 0 < max(calls) <= 15, calls
+
+
 @pytest.mark.parametrize("shape", [(8, 64, 10), (6, 48, 7), (4, 16, 6),
                                    (3, 128, 9)], ids=str)
 def test_rings_are_ring_zero_scaled_bitwise(shape):
@@ -496,6 +639,20 @@ def test_weighted_norms_reads_no_nodes_once_the_table_exists(monkeypatch):
                         lambda self: pytest.fail("weighted_norms read nodes"))
     assert weighted_norms(F, p) == first
     assert built == []
+
+
+def test_a_new_alpha_builds_its_screen_from_the_pair_table(monkeypatch):
+    """The screen's table of d^-alpha comes from the pair table: a second
+    alpha on the same grid reads no nodes and gives the norms of a fresh
+    grid."""
+    grid = _grid()
+    F = DiskField.from_function(grid, lambda z: np.conj(z) * z ** 2)
+    weighted_norms(F, HolderParams(0.5, 0.7))
+    fresh = DiskField(_grid(), F.values)
+    want = weighted_norms(fresh, HolderParams(0.3, 0.7))
+    monkeypatch.setattr(DiskGrid, "nodes",
+                        lambda self: pytest.fail("weighted_norms read nodes"))
+    assert weighted_norms(F, HolderParams(0.3, 0.7)) == want
 
 
 def _weighted_bound_ratio(f: DiskField, nu: float) -> float:
@@ -756,12 +913,6 @@ def _fd_residual(model, g_final, rings):
     return float(_fd_residual_field(model, g_final, rings).max())
 
 
-def _spectral_residual_field(model, g_final, rings):
-    vgrid, zf, dzf, g = dbar._verification_fields(g_final, rings)
-    return vgrid, g, np.abs(
-        g - dbar._beltrami_source(model, vgrid, zf, dzf).values)
-
-
 GOLDEN_MODELS = {
     "power": (lambda: PerturbationModel.power(0.05, 0.8),
               HolderParams(0.5, 0.6)),
@@ -849,28 +1000,6 @@ def test_residual_of_zero_model_is_exactly_zero():
     assert beltrami_residual(model, sol.g_final, 4) == 0.0
 
 
-def test_residual_with_no_extra_rings():
-    """With extra_rings=0 the innermost verification ring reaches into the
-    truncation hole, where g = 0 and dbar zfrak = 0 exactly, so the
-    residual there is the whole source.  The FD oracle's stencil straddles
-    the hole edge at those nodes and averages the jump (8.6e-4 against the
-    exact 1.5e-3); everywhere else the two agree within the FD oracle's
-    floor on this converged solve."""
-    model, sol = _golden_solve("power", extra_rings=0)
-    vgrid, g, spectral = _spectral_residual_field(model, sol.g_final, 4)
-    fd_field = _fd_residual_field(model, sol.g_final, 4)
-    r = np.abs(vgrid.nodes())
-    hole = sol.grid.bounds[-1][0]
-    inside = r < hole
-    assert inside.any() and np.all(g[inside] == 0)
-    assert sol.residual == spectral.max() == spectral[inside].max()
-    clear = np.abs(r - hole) > RESIDUAL_FD_SCALE * r
-    assert not np.all(clear)
-    floor = fd_field[clear].max()
-    assert floor < 1e-7
-    assert np.abs(spectral - fd_field)[clear].max() <= floor
-
-
 def test_residual_reads_the_mode_coefficients_once(monkeypatch):
     """No transform_at (no FD stencil); one _radial_coefficients call, on
     the rings x (radial + 2) radii of the verification grid."""
@@ -895,9 +1024,11 @@ def test_residual_reads_the_mode_coefficients_once(monkeypatch):
 @pytest.mark.parametrize("extra, match", [
     (2.5, "^extra_rings must be a whole number"),
     (-1, "^extra_rings must be nonnegative"),
+    (0, "^extra_rings must be at least 1"),
     ("4", "^extra_rings must be a whole number")])
 def test_solve_refuses_bad_extra_rings(extra, match):
-    """2.5 ran with 2 extra rings; -1 failed with a grid mismatch."""
+    """2.5 ran with 2 extra rings; -1 failed with a grid mismatch; 0
+    reported the truncation hole as its residual."""
     with pytest.raises(ValueError, match=match):
         solve_beltrami(PerturbationModel.power(0.05, 0.8),
                        HolderParams(0.5, 0.6), R=0.2, rings=4, angular=16,

@@ -4,7 +4,8 @@ hand (it goes through jets.wirtinger_exponent), every power by
 square-and-multiply is rational.power, and the Beltrami source
 -a(zeta + zfrak) (1 + conj(d zfrak)) is formed only in
 dbar._beltrami_source.  No module reads the environment: settings come
-from argv and the deck alone.  src keeps only what the package, the
+from argv and the deck alone, and none imports anything beyond the
+standard library, numpy and the package itself.  src keeps only what the package, the
 bench or the demos reach, plus a named library API; test oracles live
 in the tests.  Every method of src is referenced, and every defaulted
 parameter is passed, somewhere in src, the bench, the demos or the
@@ -13,6 +14,7 @@ tests."""
 import ast
 import pathlib
 import re
+import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "conedeform"
@@ -75,6 +77,34 @@ def test_src_reads_no_environment():
     assert found == [], found
 
 
+def _foreign_imports(label, text):
+    """'label:line module' for each absolute import, at any depth, of a
+    module outside the standard library, numpy and the package."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", PACKAGE}
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{label}:{node.lineno} {name}" for name in names
+                  if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_src_imports_only_the_stdlib_numpy_and_itself():
+    """numpy is the one runtime dependency: scipy and the like may be
+    installed where the tests run, so an import of them would pass here
+    and fail for a user."""
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    found = [hit for path in modules
+             for hit in _foreign_imports(path.name, path.read_text())]
+    assert found == [], found
+
+
 def test_patterns_catch_the_forms_they_guard():
     assert QUOTIENT.search("return (fp - fm) / (2 * h)")
     assert QUOTIENT.search("return (fp - 2 * f0 + fm) / (h * h)")
@@ -88,6 +118,14 @@ def test_patterns_catch_the_forms_they_guard():
     assert ENVIRONMENT_READ.search('raw = os.environ.get("TOL", "1e-10")')
     assert ENVIRONMENT_READ.search('rings = int(os.getenv("RINGS", "8"))')
     assert not ENVIRONMENT_READ.search("# the environment is never read")
+    assert _foreign_imports("p.py", "import numpy as np\nimport scipy.linalg"
+                            "\n") == ["p.py:2 scipy.linalg"]
+    assert _foreign_imports("p.py", "def f():\n    from sympy import S\n") \
+        == ["p.py:2 sympy"]
+    assert _foreign_imports(
+        "p.py", "from __future__ import annotations\nimport math, os.path\n"
+                "from . import fd\nfrom .linalg import solve\n"
+                "from conedeform import dbar\nfrom numpy import fft\n") == []
 
 
 # Top-level names that nothing in src, bench/ or demos/ calls, kept as the
