@@ -187,7 +187,6 @@ class ObstructionClass:
     order: int
     window: CoboundaryWindow
     vector: list                 # coefficients over the forbidden window
-    cocycle: str                 # mixed-frame representative, for reports
 
     def vanishes(self):
         return all(c == 0 for c in self.vector)
@@ -218,9 +217,8 @@ def splitting_obstruction(t: TruncatedTransition, k: int) -> ObstructionClass:
             f"series truncated at order {t.order}, cannot see order {k}")
     _check_normalized(t, k, 0)
     window = CoboundaryWindow(2 - k * t.normal_degree)
-    cocycle = f"({t.phi(k).to_string(coeff_str=_poly_str)})*[y^{k}] d/dz2"
     return ObstructionClass("splitting", k, window,
-                            h1_class(_base_cochain(t, k), window), cocycle)
+                            h1_class(_base_cochain(t, k), window))
 
 
 def comfortable_obstruction(t: TruncatedTransition, k: int) -> ObstructionClass:
@@ -236,9 +234,8 @@ def comfortable_obstruction(t: TruncatedTransition, k: int) -> ObstructionClass:
             f"series truncated at order {t.order}, cannot see order {k + 1}")
     _check_normalized(t, k + 1, k - 1)
     window = CoboundaryWindow(-k * t.normal_degree)
-    cocycle = f"({t.c(k + 1).to_string(coeff_str=_poly_str)})*[y^{k + 1}] d/dy2"
     return ObstructionClass("comfortable", k, window,
-                            h1_class(-_normal_cochain(t, k), window), cocycle)
+                            h1_class(-_normal_cochain(t, k), window))
 
 
 def _base_cochain(t, k):
@@ -534,7 +531,6 @@ class LedgerEntry:
     window: int
     class_vector: list
     locus: Locus
-    cocycle: str
 
     def nonzero_at_base(self):
         return any(_base_value(c) != 0 for c in self.class_vector)
@@ -619,7 +615,7 @@ class _Walker:
         locus = vanishing_locus(obs.vector, active)
         kind = obs.kind if self.comfortable else "splitting-tower"
         self.ledger.add(LedgerEntry(obs.order, kind, chain, obs.window.twist,
-                                    obs.vector, locus, obs.cocycle))
+                                    obs.vector, locus))
         branches = _branches(locus)
         if self.comfortable:
             if locus.kind == "unknown":

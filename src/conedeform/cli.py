@@ -209,28 +209,21 @@ def cmd_rate(args):
             sec.add("lambda", "undetermined (first-order class vanishes)")
             _emit(rep, args)
             return 0
-        rate = predicted_rate(RateInput(deck.n, deck.alpha, abs(res.weight),
-                                        deck.compact))
         sec.add("weight", res.weight)
-        sec.add("n", deck.n)
-        sec.add("alpha", deck.alpha)
-        sec.add("lambda", rate.lambda1)
-        sec.add("metric rate", rate.metric_rate)
-        for n in rate.notes:
-            rep.note(n)
-        _emit(rep, args)
-        return 0
-    if args.n is None or args.alpha is None or args.abs_weight is None:
-        raise ParseError("provide a deck or --n --alpha --abs-weight")
-    alpha = _fraction("--alpha", args.alpha)
-    rep = Report("rate", args.seed, _input_digest(
-        args.n, args.alpha, args.abs_weight, args.compact))
-    rate = predicted_rate(RateInput(args.n, alpha, args.abs_weight,
-                                    args.compact))
-    sec = rep.section("rate")
-    sec.add("n", args.n)
-    sec.add("alpha", alpha)
-    sec.add("|w|", args.abs_weight)
+        inp = RateInput(deck.n, deck.alpha, abs(res.weight), deck.compact)
+    else:
+        if args.n is None or args.alpha is None or args.abs_weight is None:
+            raise ParseError("provide a deck or --n --alpha --abs-weight")
+        alpha = _fraction("--alpha", args.alpha)
+        rep = Report("rate", args.seed, _input_digest(
+            args.n, args.alpha, args.abs_weight, args.compact))
+        sec = rep.section("rate")
+        inp = RateInput(args.n, alpha, args.abs_weight, args.compact)
+    rate = predicted_rate(inp)
+    sec.add("n", inp.n)
+    sec.add("alpha", inp.alpha)
+    if args.abs_weight is not None:
+        sec.add("|w|", inp.weight_abs)
     sec.add("lambda", rate.lambda1)
     sec.add("metric rate", rate.metric_rate)
     for n in rate.notes:

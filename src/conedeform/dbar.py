@@ -408,10 +408,6 @@ def _ring_derivatives(grid, V):
 @dataclass
 class NormReport:
     total: float
-    sup_part: float
-    deriv_part: float
-    holder_part: float
-    deriv_holder_part: float
     per_ring: list
 
 
@@ -443,7 +439,6 @@ def weighted_norms(f: DiskField, p: HolderParams) -> NormReport:
     if plan.screen is None or plan.screen[0] != alpha:
         plan.screen = (alpha, _screen_table(plan.pairs, alpha))
     per_ring = []
-    parts = np.zeros(4)
     for k in range(grid.rings):
         s = grid.bounds[k][0]
         w = V[k].ravel()
@@ -455,12 +450,10 @@ def weighted_norms(f: DiskField, p: HolderParams) -> NormReport:
             np.stack((w, dz[k].ravel(), dzb[k].ravel())), alpha)
         hold = max(holz, holzb)
         terms = [sup, s * supd, s ** alpha * hol, s ** (1 + alpha) * hold]
-        weight = s ** (-nu)
         per_ring.append({"s": s, "sup": sup, "dsup": supd, "holder": hol,
-                         "dholder": hold, "weighted": weight * sum(terms)})
-        parts = np.maximum(parts, weight * np.array(terms))
+                         "dholder": hold, "weighted": s ** (-nu) * sum(terms)})
     total = float(np.max([ring["weighted"] for ring in per_ring]))
-    return NormReport(total, *parts, per_ring)
+    return NormReport(total, per_ring)
 
 
 _PAIR_ROWS = 16   # rows per block of the pair-distance table and its screen
@@ -895,7 +888,6 @@ def _random_probe(grid, rng):
 class IdentityReport:
     diag_defect: float           # sup |dbar_j Ttilde^j f - f|
     cross_defect: float          # sup |dbar_2 Ttilde^1 f - Ttilde^1 dbar_2 f|
-    resolution: int
 
 
 def dbar_identity_defect(field_fn, level=0):
@@ -977,7 +969,7 @@ def operator_identities_2var(resolution=32, fields=None) -> IdentityReport:
                                      richardson=False)
             rhs = modified_transform(DiskField(grid1, dbar2f, 0.0)).values
             cross = max(cross, float(np.abs(lhs - rhs).max()))
-    return IdentityReport(diag, cross, resolution)
+    return IdentityReport(diag, cross)
 
 
 def _default_2var_fields(R):

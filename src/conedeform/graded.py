@@ -82,7 +82,6 @@ class GradedBasis:
 
 @dataclass
 class T1Report:
-    j_range: tuple
     weights: dict                # j -> (dim, cokernel basis of m-tuples)
     window: tuple | None         # (min j, max j) with nonzero dim
 
@@ -310,7 +309,7 @@ def t1_graded(cone: ConeSingularity, j_min: int, j_max: int) -> T1Report:
         weights[j] = (dim, basis)
     nz = [j for j, (d, _) in weights.items() if d > 0]
     window = (min(nz), max(nz)) if nz else None
-    return T1Report((j_min, j_max), weights, window)
+    return T1Report(weights, window)
 
 
 # ---------------------------------------------------------------------------

@@ -117,12 +117,12 @@ class LaurentPoly:
             total = total + c * z ** e if e >= 0 else total + c * (1 / z) ** (-e)
         return total
 
-    def to_string(self, coeff_str=str):
+    def __str__(self):
         if not self.coeffs:
             return "0"
         bits = []
         for e in sorted(self.coeffs, reverse=True):
-            body = coeff_str(self.coeffs[e])
+            body = str(self.coeffs[e])
             if e == 0:
                 bits.append(body)
                 continue
@@ -139,9 +139,6 @@ class LaurentPoly:
         for t in bits[1:]:
             out += t if t.startswith("-") else "+" + t
         return out
-
-    def __str__(self):
-        return self.to_string()
 
     def __repr__(self):
         return f"LaurentPoly({self.coeffs!r})"

@@ -185,16 +185,10 @@ class Polynomial:
 
     def substitute(self, substitutions):
         """Replace variable i by the Polynomial substitutions[i], from a
-        list or a dict with a key for every variable."""
-        subs = [substitutions[i] for i in range(self.nvars)]
-        out = Polynomial.zero(self.nvars)
-        for e, c in self.terms.items():
-            term = Polynomial.constant(self.nvars, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * subs[i] ** k
-            out = out + term
-        return out
+        list or a dict with a key for every variable: evaluation at those
+        Polynomials."""
+        return Polynomial.zero(self.nvars) + self.evaluate(
+            [substitutions[i] for i in range(self.nvars)])
 
     def coefficient(self, exponents):
         return self.terms.get(tuple(exponents), Fraction(0))

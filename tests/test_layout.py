@@ -7,9 +7,9 @@ dbar._beltrami_source.  No module reads the environment: settings come
 from argv and the deck alone, and none imports anything beyond the
 standard library, numpy and the package itself.  src keeps only what the package, the
 bench or the demos reach, plus a named library API; test oracles live
-in the tests.  Every method of src is referenced, and every defaulted
-parameter is passed, somewhere in src, the bench, the demos or the
-tests."""
+in the tests.  Every method of src is referenced, every annotated
+field of a src class is read, and every defaulted parameter is passed,
+somewhere in src, the bench, the demos or the tests."""
 
 import ast
 import pathlib
@@ -395,6 +395,58 @@ def test_method_scan_flags_a_planted_method():
     assert _unreferenced_methods(["planted.py"], PLANTED) == {"Shape.orphan"}
     other = {**PLANTED, "other.py": "def f(s):\n    return s.orphan\n"}
     assert _unreferenced_methods(["planted.py"], other) == set()
+
+
+def _unread_fields(labels, users):
+    """Class.field for each annotated field of a top-level class of the
+    modules `labels` whose name no module of `users` reads as an attribute
+    (`x.field`).  A store (`x.field = v`), a keyword or a bare name of the
+    same spelling is no read."""
+    reads = {node.attr for text in users.values()
+             for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    out = set()
+    for label in labels:
+        for cls in ast.parse(users[label]).body:
+            if isinstance(cls, ast.ClassDef):
+                out |= {f"{cls.name}.{node.target.id}" for node in cls.body
+                        if isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)
+                        and node.target.id not in reads}
+    return out
+
+
+# Annotated fields that nothing reads, each kept with the reason.
+_WHOLE_FRAME = ("normalize_chart returns the whole frame change it applied; "
+                "the tests read base_linear")
+UNREAD_FIELDS = {
+    "FrameChange.gauge_linear": _WHOLE_FRAME,
+    "FrameChange.gauge_quadratic": _WHOLE_FRAME,
+    "FrameChange.base_quadratic": _WHOLE_FRAME,
+}
+
+
+def test_src_result_fields_are_read():
+    modules, users = _everything()
+    assert len(users) > len(modules) + 20
+    assert _unread_fields(modules, users) == set(UNREAD_FIELDS)
+
+
+def test_field_scan_flags_a_planted_field():
+    planted = {"planted.py": "class Result:\n"
+                             "    total: float\n"
+                             "    echo: int\n"
+                             "    count = 0\n\n"
+                             "    def size(self):\n"
+                             "        return self.total\n",
+               "user.py": "def make(echo):\n"
+                          "    r = Result(1.0, echo=echo)\n"
+                          "    r.echo = echo\n"
+                          "    return r\n"}
+    assert _unread_fields(["planted.py"], planted) == {"Result.echo"}
+    other = {**planted, "other.py": "def f(r):\n    return r.echo\n"}
+    assert _unread_fields(["planted.py"], other) == set()
 
 
 def test_parameter_scan_flags_a_planted_parameter():

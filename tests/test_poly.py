@@ -6,6 +6,7 @@ import pytest
 
 from conedeform.poly import (Polynomial, degrevlex_key, format_poly,
                              monomials_of_degree)
+from conedeform.rational import GaussianRational
 
 
 def test_basic_arithmetic():
@@ -47,14 +48,44 @@ def test_derivative_and_eval():
     assert p.evaluate([Fraction(2), Fraction(3)]) == 24 + 18
 
 
+def _substitute_term_by_term(p, substitutions):
+    """The former Polynomial.substitute: each term rebuilt as a Polynomial
+    product, then summed."""
+    subs = [substitutions[i] for i in range(p.nvars)]
+    out = Polynomial.zero(p.nvars)
+    for e, c in p.terms.items():
+        term = Polynomial.constant(p.nvars, c)
+        for i, k in enumerate(e):
+            if k:
+                term = term * subs[i] ** k
+        out = out + term
+    return out
+
+
 def test_substitute():
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
-    p = x ** 2 + y
-    q = p.substitute({0: y, 1: x})
-    assert q == y ** 2 + x
-    r = p.substitute({0: Polynomial.constant(2, Fraction(1, 2)), 1: y})
-    assert r == Polynomial.constant(2, Fraction(1, 4)) + y
+    i = GaussianRational(0, 1)
+    half = Polynomial.constant(2, Fraction(1, 2))
+    cases = [
+        (x ** 2 + y, {0: y, 1: x}, y ** 2 + x),
+        (x ** 2 + y, [y, x], y ** 2 + x),
+        (x ** 2 + y, {0: half, 1: y}, Polynomial.constant(2, Fraction(1, 4))
+         + y),
+        (Polynomial.constant(2, Fraction(5, 3)), [y, x],
+         Polynomial.constant(2, Fraction(5, 3))),
+        (Polynomial.zero(2), {0: y, 1: x}, Polynomial.zero(2)),
+        (i * x * y - 2, [x + i * y, y], i * x * y - y ** 2 - 2),
+        (x ** 3 + i, {0: i * y, 1: x}, i * (1 - y ** 3)),
+        (x * y + 1, [GaussianRational(2, 1), y], GaussianRational(2, 1) * y
+         + 1),
+        (x + y, [GaussianRational(0), GaussianRational(0)], Polynomial.zero(2)),
+    ]
+    for p, substitutions, expected in cases:
+        q = p.substitute(substitutions)
+        assert isinstance(q, Polynomial) and q.nvars == p.nvars
+        assert q == expected == _substitute_term_by_term(p, substitutions), \
+            (p, substitutions)
 
 
 def test_monomial_enumeration():
